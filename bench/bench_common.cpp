@@ -2,89 +2,82 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 
 #include "ckpt/manager.h"
 #include "exec/parallel_evaluator.h"
 #include "exec/parallel_runner.h"
-#include "obs/metrics.h"
-#include "obs/sink.h"
 #include "util/args.h"
-#include "util/binio.h"
 #include "util/format.h"
-#include "util/fs.h"
-#include "util/logging.h"
 #include "util/rng.h"
 
 namespace dras::benchx {
 
 namespace {
 
-/// Fingerprint the bench invocation: every flag except --run-dir (the
-/// output location) and the parallelism knobs, whose values do not
-/// change results (see the exec/rollout determinism contracts).
+/// Fingerprint the bench invocation: every flag except the output ones
+/// and the parallelism knobs, whose values do not change results (see
+/// the exec/rollout determinism contracts).  `--k=v` counts as `--k v`,
+/// so both spellings of one experiment agree.
 std::string bench_fingerprint(int argc, const char* const* argv) {
+  static constexpr std::string_view kIgnoredValued[] = {
+      "--run-dir",     "--jobs",      "--rollout-workers",
+      "--metrics-out", "--trace-out", "--trace-format"};
   std::string canonical;
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--run-dir" || arg == "--jobs" ||
-        arg == "--rollout-workers") {
-      ++i;  // skip the flag's value too
+    std::string_view arg(argv[i]);
+    std::string_view value;
+    const std::size_t eq = arg.starts_with("--") ? arg.find('=')
+                                                 : std::string_view::npos;
+    if (eq != std::string_view::npos) {
+      value = arg.substr(eq + 1);
+      arg = arg.substr(0, eq);
+    }
+    if (arg == "--profile") continue;
+    if (std::ranges::find(kIgnoredValued, arg) != std::end(kIgnoredValued)) {
+      if (eq == std::string_view::npos) ++i;  // skip the separate value
       continue;
     }
     canonical += arg;
     canonical += ';';
+    if (eq != std::string_view::npos) {
+      canonical += value;
+      canonical += ';';
+    }
   }
-  char fingerprint[16];
-  std::snprintf(fingerprint, sizeof(fingerprint), "%08x",
-                util::crc32(canonical));
-  return fingerprint;
+  return obs::config_fingerprint(canonical);
 }
 
 }  // namespace
 
 ObsSession::ObsSession(int argc, const char* const* argv) {
-  const util::Args args(argc, argv, {"profile", "warm-start-relaxed"});
-  profile_ = args.flag("profile");
-  metrics_out_ = args.get("metrics-out", "");
-  if (args.has("trace-out")) {
-    const auto format = args.get("trace-format", "chrome") == "jsonl"
-                            ? obs::TraceFormat::Jsonl
-                            : obs::TraceFormat::ChromeJson;
-    tracer_ = std::make_unique<obs::EventTracer>(
-        obs::make_sink(args.get("trace-out", ""), /*atomic=*/true), format);
-    obs::set_default_tracer(tracer_.get());
-  }
-  if (args.has("run-dir")) {
+  try {
+    const util::Args args(argc, argv, {"profile", "warm-start-relaxed"});
+    const long long jobs = args.get_int("jobs", 0);
+    jobs_ = jobs <= 0 ? exec::default_concurrency()
+                      : static_cast<std::size_t>(jobs);
+    seeds_ =
+        static_cast<std::size_t>(std::max(1LL, args.get_int("seeds", 1)));
+    rollout_requested_ =
+        args.has("rollout-workers") || args.has("rollout-batch");
+    rollout_workers_ =
+        static_cast<std::size_t>(args.get_int("rollout-workers", 1));
+    rollout_batch_ =
+        static_cast<std::size_t>(args.get_int("rollout-batch", 0));
+    warm_start_ = args.get("warm-start", "");
+    warm_start_relaxed_ = args.flag("warm-start-relaxed");
+    save_warm_start_ = args.get("save-warm-start", "");
+
     obs::RunInfo info;
     info.tool = argc > 0 ? std::filesystem::path(argv[0]).filename().string()
                          : "bench";
     info.argv.assign(argv, argv + argc);
     info.config_fingerprint = bench_fingerprint(argc, argv);
-    recorder_ = std::make_unique<obs::RunRecorder>(args.get("run-dir", ""),
-                                                   std::move(info));
-    if (!tracer_) {
-      tracer_ = std::make_unique<obs::EventTracer>(
-          std::make_unique<obs::FileSink>(recorder_->trace_path()),
-          obs::TraceFormat::ChromeJson);
-      obs::set_default_tracer(tracer_.get());
-    }
+    session_ = std::make_unique<obs::RunSession>(args, std::move(info));
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    std::exit(2);
   }
-  if (profile_ || !metrics_out_.empty() || recorder_ != nullptr)
-    obs::set_enabled(true);
-  const long long jobs = args.get_int("jobs", 0);
-  jobs_ = jobs <= 0 ? exec::default_concurrency()
-                    : static_cast<std::size_t>(jobs);
-  seeds_ = static_cast<std::size_t>(std::max(1LL, args.get_int("seeds", 1)));
-  rollout_requested_ =
-      args.has("rollout-workers") || args.has("rollout-batch");
-  rollout_workers_ =
-      static_cast<std::size_t>(args.get_int("rollout-workers", 1));
-  rollout_batch_ =
-      static_cast<std::size_t>(args.get_int("rollout-batch", 0));
-  warm_start_ = args.get("warm-start", "");
-  warm_start_relaxed_ = args.flag("warm-start-relaxed");
-  save_warm_start_ = args.get("save-warm-start", "");
 }
 
 std::unique_ptr<rollout::RolloutPool> ObsSession::make_rollout_pool()
@@ -93,41 +86,11 @@ std::unique_ptr<rollout::RolloutPool> ObsSession::make_rollout_pool()
   rollout::RolloutOptions options;
   options.workers = rollout_workers_;
   options.batch = rollout_batch_;
-  options.tracer = tracer_.get();
+  options.tracer = session_->tracer();
   return std::make_unique<rollout::RolloutPool>(options);
 }
 
-ObsSession::~ObsSession() {
-  if (recorder_) {
-    try {
-      util::atomic_write_file(recorder_->metrics_path(),
-                              obs::metrics_to_json(obs::Registry::global()));
-    } catch (const std::exception& e) {
-      util::log_warn("cannot write metrics to {}: {}",
-                     recorder_->metrics_path().string(), e.what());
-    }
-    recorder_->finish(0);
-  }
-  if (tracer_) {
-    obs::set_default_tracer(nullptr);
-    tracer_->close();
-  }
-  if (!metrics_out_.empty()) {
-    const bool as_csv =
-        metrics_out_.size() >= 4 &&
-        metrics_out_.rfind(".csv") == metrics_out_.size() - 4;
-    try {
-      util::atomic_write_file(
-          metrics_out_,
-          as_csv ? obs::metrics_to_csv(obs::Registry::global())
-                 : obs::metrics_to_json(obs::Registry::global()));
-    } catch (const std::exception& e) {
-      util::log_warn("cannot write metrics to {}: {}", metrics_out_,
-                     e.what());
-    }
-  }
-  if (profile_) std::cerr << obs::metrics_to_text(obs::Registry::global());
-}
+ObsSession::~ObsSession() { (void)session_->finish(0); }
 
 Scenario Scenario::theta_mini(std::uint64_t seed) {
   return Scenario{core::theta_mini(), workload::theta_mini_workload(), seed};

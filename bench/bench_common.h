@@ -14,9 +14,8 @@
 #include <vector>
 
 #include "core/dras_agent.h"
-#include "obs/run_manifest.h"
-#include "obs/trace.h"
 #include "core/presets.h"
+#include "obs/run_session.h"
 #include "rollout/rollout_pool.h"
 #include "sched/bin_packing.h"
 #include "sched/decima_pg.h"
@@ -182,20 +181,16 @@ struct MethodBands {
 [[nodiscard]] std::vector<MethodBands> evaluation_bands(
     const std::vector<std::vector<train::Evaluation>>& per_seed);
 
-/// Shared telemetry + execution plumbing for the bench harnesses.  Parses
-/// `--trace-out FILE`, `--trace-format chrome|jsonl`, `--metrics-out FILE`,
-/// `--profile`, `--run-dir DIR`, `--jobs N`, `--rollout-workers N`,
-/// `--rollout-batch B`,
-/// `--warm-start DIR` and `--save-warm-start DIR` from argv; when
-/// requested, installs the
-/// process-default tracer (every Simulator the bench creates feeds it) and
-/// enables the metrics registry.  `--run-dir DIR` turns on the full
-/// observatory: run.json manifest + rounds.jsonl + trace.json +
-/// metrics.json in DIR, consumable by tools/dras_report.  The destructor
-/// finalizes the trace,
-/// dumps metrics and prints the --profile table to stderr.  With none of
-/// the flags present this is a no-op (and jobs() defaults to hardware
-/// concurrency).
+/// Shared telemetry + execution plumbing for the bench harnesses.  The
+/// telemetry half is an obs::RunSession (the five shared flags
+/// --trace-out, --trace-format, --metrics-out, --profile and --run-dir,
+/// exactly as in dras_sim); this class adds the bench-only flags
+/// `--jobs N`, `--seeds N`, `--rollout-workers N`, `--rollout-batch B`,
+/// `--warm-start DIR`, `--warm-start-relaxed` and `--save-warm-start
+/// DIR`.  The run-dir fingerprint covers every flag except the output
+/// and parallelism ones, whose values do not change results.  A bad
+/// flag value prints the error and exits 2.  The destructor finishes the
+/// session (metrics dumps, trace, --profile table, run.json).
 class ObsSession {
  public:
   ObsSession(int argc, const char* const* argv);
@@ -203,14 +198,11 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  [[nodiscard]] obs::EventTracer* tracer() const noexcept {
-    return tracer_.get();
-  }
   /// Run recorder from --run-dir, or nullptr.  Wire into
-  /// train::RunOptions::run (and call set_final_score / note) to fill
-  /// the manifest; the destructor finishes it.
+  /// train::RunOptions::run (and call set_final_score / set_stat) to
+  /// fill the manifest; the destructor finishes it.
   [[nodiscard]] obs::RunRecorder* run_recorder() const noexcept {
-    return recorder_.get();
+    return session_->recorder();
   }
   /// Worker budget from --jobs N (N >= 1); --jobs 0 or absent = hardware
   /// concurrency.
@@ -250,10 +242,7 @@ class ObsSession {
   }
 
  private:
-  std::unique_ptr<obs::EventTracer> tracer_;
-  std::unique_ptr<obs::RunRecorder> recorder_;
-  std::string metrics_out_;
-  bool profile_ = false;
+  std::unique_ptr<obs::RunSession> session_;
   std::size_t jobs_ = 1;
   std::size_t seeds_ = 1;
   bool rollout_requested_ = false;

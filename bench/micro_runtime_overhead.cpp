@@ -10,9 +10,9 @@
 //
 // The telemetry section quantifies the instrumentation cost added to the
 // simulator event loop: per-op cost of disabled/enabled counters,
-// histograms, scoped timers, HDR percentile histograms and hierarchical
-// spans, full simulator runs with telemetry off vs fully on (registry +
-// tracer into a null sink), and — printed after the benchmark table —
+// scoped timers, HDR percentile histograms and hierarchical spans, full
+// simulator runs with telemetry off vs fully on (registry + tracer into
+// a null sink), and — printed after the benchmark table —
 // two budget estimates: the compiled-in-but-disabled overhead (≤2% for
 // the simulator counter gates, ≤0.5% for the span/hdr observatory) and
 // the fully-enabled span + hdr overhead on the real NN hot path (≤2%).
@@ -154,43 +154,20 @@ void BM_ObsCounterAdd_Enabled(benchmark::State& state) {
   dras::obs::set_enabled(false);
 }
 
-void BM_ObsHistogramObserve_Disabled(benchmark::State& state) {
-  dras::obs::set_enabled(false);
-  auto& histogram = dras::obs::Registry::global().histogram(
-      "bench.overhead.histogram",
-      dras::obs::Histogram::exponential_bounds(1.0, 4.0, 12));
-  double v = 0.0;
-  for (auto _ : state) histogram.observe(v += 1.0);
-}
-
-void BM_ObsHistogramObserve_Enabled(benchmark::State& state) {
-  dras::obs::set_enabled(true);
-  auto& histogram = dras::obs::Registry::global().histogram(
-      "bench.overhead.histogram",
-      dras::obs::Histogram::exponential_bounds(1.0, 4.0, 12));
-  double v = 0.0;
-  for (auto _ : state) histogram.observe(v += 1.0);
-  dras::obs::set_enabled(false);
-}
-
 void BM_ObsScopedTimer_Disabled(benchmark::State& state) {
   dras::obs::set_enabled(false);
-  auto& histogram = dras::obs::Registry::global().histogram(
-      "bench.overhead.timer",
-      dras::obs::Histogram::exponential_bounds(1.0, 4.0, 12));
+  auto& hdr = dras::obs::Registry::global().hdr("bench.overhead.timer");
   for (auto _ : state) {
-    dras::obs::ScopedTimer timer(histogram);
+    dras::obs::ScopedTimer timer(hdr);
     benchmark::DoNotOptimize(&timer);
   }
 }
 
 void BM_ObsScopedTimer_Enabled(benchmark::State& state) {
   dras::obs::set_enabled(true);
-  auto& histogram = dras::obs::Registry::global().histogram(
-      "bench.overhead.timer",
-      dras::obs::Histogram::exponential_bounds(1.0, 4.0, 12));
+  auto& hdr = dras::obs::Registry::global().hdr("bench.overhead.timer");
   for (auto _ : state) {
-    dras::obs::ScopedTimer timer(histogram);
+    dras::obs::ScopedTimer timer(hdr);
     benchmark::DoNotOptimize(&timer);
   }
   dras::obs::set_enabled(false);
@@ -318,8 +295,8 @@ void report_disabled_overhead() {
   // Count the instrumentation sites one run executes.
   dras::sim::Simulator probe(preset.nodes);
   const auto probe_result = probe.run(trace, policy);
-  // Per scheduling instance: 1 counter + 1 histogram + 1 scoped timer.
-  // Per job: submit counter, start counter, wait histogram, end counter.
+  // Per scheduling instance: 1 counter + 1 hdr observe + 1 scoped timer.
+  // Per job: submit counter, start counter, wait hdr observe, end counter.
   const double sites =
       3.0 * static_cast<double>(probe_result.scheduling_instances) +
       4.0 * static_cast<double>(trace.size());
@@ -457,8 +434,6 @@ BENCHMARK_CAPTURE(BM_DQLUpdate, theta_mini, dras::core::theta_mini())
 // ≤2% acceptance estimate printed after the table).
 BENCHMARK(BM_ObsCounterAdd_Disabled);
 BENCHMARK(BM_ObsCounterAdd_Enabled);
-BENCHMARK(BM_ObsHistogramObserve_Disabled);
-BENCHMARK(BM_ObsHistogramObserve_Enabled);
 BENCHMARK(BM_ObsScopedTimer_Disabled);
 BENCHMARK(BM_ObsScopedTimer_Enabled);
 BENCHMARK(BM_ObsHdrObserve_Disabled);

@@ -1,10 +1,11 @@
-// Mergeable log-bucketed percentile histogram (HDR-histogram style).
+// Mergeable log-bucketed percentile histogram (HDR-histogram style) —
+// the registry's one histogram type.
 //
-// The fixed-bucket obs::Histogram answers "how many observations fell
-// below X" for a handful of hand-picked bounds; it cannot answer "what
-// is p99 round time" without guessing bounds up front.  HdrHistogram
-// covers the whole range [lowest, highest] with log-spaced buckets at a
-// fixed relative resolution, so percentile queries are accurate to
+// A fixed-bucket histogram answers "how many observations fell below
+// X" for a handful of hand-picked bounds; it cannot answer "what is p99
+// round time" without guessing bounds up front.  HdrHistogram covers
+// the whole range [lowest, highest] with log-spaced buckets at a fixed
+// relative resolution, so percentile queries are accurate to
 // ~2^-(precision_bits+1) relative error (<= 0.4% at the default 7 bits)
 // over ~18 decades, in fixed memory (~8 KiB per decade at 7 bits).
 //
@@ -90,7 +91,7 @@ class HdrHistogram {
     const auto n = count();
     return n == 0 ? 0.0 : sum() / static_cast<double>(n);
   }
-  /// +inf / -inf when empty (like obs::Histogram).
+  /// +inf / -inf when empty.
   [[nodiscard]] double min() const noexcept {
     return min_.load(std::memory_order_relaxed);
   }

@@ -60,30 +60,6 @@ void MetricShard::gauge_add(Gauge* gauge, double delta) {
   gauges_.push_back(GaugeCell{gauge, false, 0.0, delta});
 }
 
-void MetricShard::histogram_observe(Histogram* histogram, double v) {
-  HistogramCell* cell = nullptr;
-  for (HistogramCell& candidate : histograms_) {
-    if (candidate.histogram == histogram) {
-      cell = &candidate;
-      break;
-    }
-  }
-  if (cell == nullptr) {
-    histograms_.push_back(HistogramCell{
-        histogram, std::vector<std::uint64_t>(histogram->bucket_count(), 0),
-        0, 0.0, std::numeric_limits<double>::infinity(),
-        -std::numeric_limits<double>::infinity()});
-    cell = &histograms_.back();
-  }
-  const auto& bounds = histogram->bounds();
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
-  cell->buckets[static_cast<std::size_t>(it - bounds.begin())] += 1;
-  cell->count += 1;
-  cell->sum += v;
-  cell->min = std::min(cell->min, v);
-  cell->max = std::max(cell->max, v);
-}
-
 void MetricShard::hdr_observe(HdrHistogram* hdr, double v) {
   for (HdrCell& cell : hdrs_) {
     if (cell.target == hdr) {
@@ -122,8 +98,7 @@ void MetricShard::merge() {
   const bool timed = enabled();
   const auto start = timed ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
-  std::uint64_t writes =
-      counters_.size() + gauges_.size() + histograms_.size() + hdrs_.size();
+  std::uint64_t writes = counters_.size() + gauges_.size() + hdrs_.size();
   for (const CounterCell& cell : counters_) cell.counter->absorb(cell.value);
   for (const GaugeCell& cell : gauges_) {
     if (cell.has_set)
@@ -131,13 +106,9 @@ void MetricShard::merge() {
     else
       cell.gauge->absorb_add(cell.delta);
   }
-  for (const HistogramCell& cell : histograms_)
-    cell.histogram->absorb(cell.buckets, cell.count, cell.sum, cell.min,
-                           cell.max);
   for (const HdrCell& cell : hdrs_) cell.target->merge(*cell.local);
   counters_.clear();
   gauges_.clear();
-  histograms_.clear();
   hdrs_.clear();
   // Count the merge itself after folding, through the unconditional
   // absorb path, so a mid-round enable/disable toggle cannot lose it —
@@ -173,94 +144,6 @@ void Gauge::absorb_add(double delta) noexcept {
   while (!value_.compare_exchange_weak(current, current + delta,
                                        std::memory_order_relaxed)) {
   }
-}
-
-// ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
-  if (!std::is_sorted(bounds_.begin(), bounds_.end()))
-    throw std::invalid_argument("histogram bounds must be sorted");
-}
-
-void Histogram::observe(double v) noexcept {
-  if (!enabled()) return;
-  if (detail::t_shard != nullptr) {
-    detail::t_shard->histogram_observe(this, v);
-    return;
-  }
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto slot = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[slot].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-
-  double sum = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(sum, sum + v,
-                                     std::memory_order_relaxed)) {
-  }
-  double lo = min_.load(std::memory_order_relaxed);
-  while (v < lo &&
-         !min_.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
-  }
-  double hi = max_.load(std::memory_order_relaxed);
-  while (v > hi &&
-         !max_.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::absorb(std::span<const std::uint64_t> buckets,
-                       std::uint64_t count, double sum, double min,
-                       double max) noexcept {
-  if (count == 0) return;
-  const std::size_t n = std::min(buckets.size(), buckets_.size());
-  for (std::size_t i = 0; i < n; ++i)
-    buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
-  count_.fetch_add(count, std::memory_order_relaxed);
-  double current = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(current, current + sum,
-                                     std::memory_order_relaxed)) {
-  }
-  double lo = min_.load(std::memory_order_relaxed);
-  while (min < lo &&
-         !min_.compare_exchange_weak(lo, min, std::memory_order_relaxed)) {
-  }
-  double hi = max_.load(std::memory_order_relaxed);
-  while (max > hi &&
-         !max_.compare_exchange_weak(hi, max, std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::reset() noexcept {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-}
-
-std::vector<double> Histogram::exponential_bounds(double start, double factor,
-                                                  std::size_t count) {
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double bound = start;
-  for (std::size_t i = 0; i < count; ++i) {
-    bounds.push_back(bound);
-    bound *= factor;
-  }
-  return bounds;
-}
-
-std::vector<double> Histogram::linear_bounds(double start, double step,
-                                             std::size_t count) {
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    bounds.push_back(start + step * static_cast<double>(i));
-  return bounds;
 }
 
 // ---------------------------------------------------------------------------
@@ -323,18 +206,6 @@ Gauge& Registry::gauge(std::string_view name) {
   return *entry.gauge;
 }
 
-Histogram& Registry::histogram(std::string_view name,
-                               std::vector<double> bounds) {
-  const std::scoped_lock lock(mutex_);
-  if (Entry* existing = find_locked(name)) {
-    if (existing->kind != MetricKind::Histogram) kind_clash(name);
-    return *existing->histogram;
-  }
-  Entry& entry = emplace_locked(name, MetricKind::Histogram);
-  entry.histogram = std::make_unique<Histogram>(std::move(bounds));
-  return *entry.histogram;
-}
-
 HdrHistogram& Registry::hdr(std::string_view name, HdrConfig config) {
   const std::scoped_lock lock(mutex_);
   if (Entry* existing = find_locked(name)) {
@@ -375,7 +246,6 @@ void Registry::reset_values() {
     switch (entry.kind) {
       case MetricKind::Counter: entry.counter->reset(); break;
       case MetricKind::Gauge: entry.gauge->reset(); break;
-      case MetricKind::Histogram: entry.histogram->reset(); break;
       case MetricKind::Hdr: entry.hdr->reset(); break;
     }
   }
@@ -401,19 +271,6 @@ std::vector<MetricSnapshot> Registry::snapshot() const {
       case MetricKind::Gauge:
         snap.value = entry.gauge->value();
         break;
-      case MetricKind::Histogram: {
-        const Histogram& h = *entry.histogram;
-        snap.value = h.sum();
-        snap.count = h.count();
-        snap.min = h.count() > 0 ? h.min() : 0.0;
-        snap.max = h.count() > 0 ? h.max() : 0.0;
-        snap.mean = h.mean();
-        snap.bounds = h.bounds();
-        snap.buckets.reserve(h.bucket_count());
-        for (std::size_t i = 0; i < h.bucket_count(); ++i)
-          snap.buckets.push_back(h.bucket(i));
-        break;
-      }
       case MetricKind::Hdr: {
         const HdrHistogram& h = *entry.hdr;
         snap.value = h.sum();
@@ -443,7 +300,6 @@ std::string_view kind_name(MetricKind kind) noexcept {
   switch (kind) {
     case MetricKind::Counter: return "counter";
     case MetricKind::Gauge: return "gauge";
-    case MetricKind::Histogram: return "histogram";
     case MetricKind::Hdr: return "hdr";
   }
   return "?";
@@ -460,18 +316,7 @@ std::string metrics_to_json(const Registry& registry) {
     first = false;
     out << "{\"name\":" << util::json::quote(m.name)
         << ",\"kind\":\"" << kind_name(m.kind) << '"';
-    if (m.kind == MetricKind::Histogram) {
-      out << util::format(
-          ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{}",
-          m.count, m.value, m.min, m.max, m.mean);
-      out << ",\"bounds\":[";
-      for (std::size_t i = 0; i < m.bounds.size(); ++i)
-        out << (i ? "," : "") << m.bounds[i];
-      out << "],\"buckets\":[";
-      for (std::size_t i = 0; i < m.buckets.size(); ++i)
-        out << (i ? "," : "") << m.buckets[i];
-      out << ']';
-    } else if (m.kind == MetricKind::Hdr) {
+    if (m.kind == MetricKind::Hdr) {
       out << util::format(
           ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},"
           "\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}",
@@ -502,11 +347,7 @@ std::string metrics_to_text(const Registry& registry) {
   for (const MetricSnapshot& m : registry.snapshot()) {
     std::string name = m.name;
     if (name.size() < 32) name.append(32 - name.size(), ' ');
-    if (m.kind == MetricKind::Histogram) {
-      out << util::format(
-          "{} n={} mean={:.2f} min={:.2f} max={:.2f} sum={:.2f}\n", name,
-          m.count, m.mean, m.min, m.max, m.value);
-    } else if (m.kind == MetricKind::Hdr) {
+    if (m.kind == MetricKind::Hdr) {
       out << util::format(
           "{} n={} mean={:.2f} p50={:.2f} p90={:.2f} p99={:.2f} "
           "p999={:.2f} max={:.2f}\n",

@@ -1,9 +1,9 @@
-// Process-wide metrics registry: named counters, gauges and fixed-bucket
-// histograms, plus a scoped RAII timer.
+// Process-wide metrics registry: named counters, gauges and mergeable
+// percentile histograms (HdrHistogram), plus a scoped RAII timer.
 //
 // Design goals, in order:
 //   1. Near-zero cost when telemetry is disabled.  Every hot operation
-//      (Counter::add, Histogram::observe, ScopedTimer) first checks one
+//      (Counter::add, HdrHistogram::observe, ScopedTimer) first checks one
 //      relaxed atomic bool; when it is false the operation touches no
 //      shared state, performs no allocation and reads no clock.  A whole
 //      translation unit can additionally compile the subsystem out by
@@ -22,18 +22,15 @@
 //   ...
 //   started.add();                      // no-op unless obs::set_enabled(true)
 //
-//   auto& lat = obs::Registry::global().histogram(
-//       "sim.schedule_us", obs::Histogram::exponential_bounds(1.0, 4.0, 12));
+//   auto& lat = obs::Registry::global().hdr("sim.schedule_us");
 //   { obs::ScopedTimer t(lat); policy.schedule(ctx); }
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,12 +45,11 @@ namespace dras::obs {
 
 class Counter;
 class Gauge;
-class Histogram;
 
 /// Thread-confined buffer of metric writes (the rollout engine's
 /// per-task telemetry shard).  While a ShardScope is active on a
 /// thread, every Counter::add / Gauge::set / Gauge::add /
-/// Histogram::observe on that thread lands here instead of in the
+/// HdrHistogram::observe on that thread lands here instead of in the
 /// shared atomics; merge() later folds the buffered writes into the
 /// real instruments in one deterministic, single-threaded pass.
 ///
@@ -71,7 +67,6 @@ class MetricShard {
   void counter_add(Counter* counter, std::uint64_t n);
   void gauge_set(Gauge* gauge, double v);
   void gauge_add(Gauge* gauge, double delta);
-  void histogram_observe(Histogram* histogram, double v);
   void hdr_observe(HdrHistogram* hdr, double v);
 
   /// Fold every buffered write into the real instruments, then clear.
@@ -80,8 +75,7 @@ class MetricShard {
   void merge();
 
   [[nodiscard]] bool empty() const noexcept {
-    return counters_.empty() && gauges_.empty() && histograms_.empty() &&
-           hdrs_.empty();
+    return counters_.empty() && gauges_.empty() && hdrs_.empty();
   }
 
  private:
@@ -95,12 +89,6 @@ class MetricShard {
     double set_value;
     double delta;      // adds since the last set (or since the start)
   };
-  struct HistogramCell {
-    Histogram* histogram;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count;
-    double sum, min, max;
-  };
   struct HdrCell {
     HdrHistogram* target;
     // Heap cell: HdrHistogram holds atomics and cannot be moved with
@@ -110,7 +98,6 @@ class MetricShard {
 
   std::vector<CounterCell> counters_;
   std::vector<GaugeCell> gauges_;
-  std::vector<HistogramCell> histograms_;
   std::vector<HdrCell> hdrs_;
 };
 
@@ -209,73 +196,12 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram with running count/sum/min/max.  Bucket i counts
-/// observations <= bounds[i]; one extra overflow bucket counts the rest.
-/// Bounds are fixed at registration; observation is lock-free.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v) noexcept;
-
-  [[nodiscard]] const std::vector<double>& bounds() const noexcept {
-    return bounds_;
-  }
-  /// bounds().size() + 1 (overflow bucket last).
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return buckets_.size();
-  }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const noexcept {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double mean() const noexcept {
-    const auto n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-  }
-  /// +inf / -inf when empty.
-  [[nodiscard]] double min() const noexcept {
-    return min_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double max() const noexcept {
-    return max_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept;
-
-  /// Unconditional fold-in of pre-bucketed observations
-  /// (MetricShard::merge).  `buckets` must have bucket_count() entries.
-  void absorb(std::span<const std::uint64_t> buckets, std::uint64_t count,
-              double sum, double min, double max) noexcept;
-
-  /// `count` upper bounds starting at `start`, each ×`factor`:
-  /// {start, start·f, start·f², ...}.
-  [[nodiscard]] static std::vector<double> exponential_bounds(
-      double start, double factor, std::size_t count);
-  /// `count` upper bounds {start, start+step, ...}.
-  [[nodiscard]] static std::vector<double> linear_bounds(double start,
-                                                         double step,
-                                                         std::size_t count);
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-};
-
-/// RAII wall-clock timer recording elapsed microseconds into a histogram
-/// on destruction.  When telemetry is disabled at construction time the
-/// clock is never read.
+/// RAII wall-clock timer recording elapsed microseconds into an hdr
+/// histogram on destruction.  When telemetry is disabled at construction
+/// time the clock is never read.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histogram& target) noexcept
+  explicit ScopedTimer(HdrHistogram& target) noexcept
       : target_(enabled() ? &target : nullptr),
         start_(target_ ? std::chrono::steady_clock::now()
                        : std::chrono::steady_clock::time_point{}) {}
@@ -289,21 +215,19 @@ class ScopedTimer {
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  Histogram* target_;
+  HdrHistogram* target_;
   std::chrono::steady_clock::time_point start_;
 };
 
-enum class MetricKind { Counter, Gauge, Histogram, Hdr };
+enum class MetricKind { Counter, Gauge, Hdr };
 
 /// Point-in-time copy of one metric, for dumps and tests.
 struct MetricSnapshot {
   std::string name;
   MetricKind kind = MetricKind::Counter;
-  double value = 0.0;           ///< counter / gauge value; histogram sum.
-  std::uint64_t count = 0;      ///< histogram observation count.
-  double min = 0.0, max = 0.0, mean = 0.0;  ///< histogram only.
-  std::vector<double> bounds;               ///< fixed-bucket histogram only.
-  std::vector<std::uint64_t> buckets;       ///< fixed-bucket histogram only.
+  double value = 0.0;           ///< counter / gauge value; hdr sum.
+  std::uint64_t count = 0;      ///< hdr observation count.
+  double min = 0.0, max = 0.0, mean = 0.0;             ///< hdr only.
   double p50 = 0.0, p90 = 0.0, p99 = 0.0, p999 = 0.0;  ///< hdr only.
 };
 
@@ -317,9 +241,6 @@ class Registry {
 
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  /// `bounds` is consulted only on first registration.
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     std::vector<double> bounds);
   /// Log-bucketed percentile histogram; `config` is consulted only on
   /// first registration.
   [[nodiscard]] HdrHistogram& hdr(std::string_view name,
@@ -344,7 +265,6 @@ class Registry {
     MetricKind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<HdrHistogram> hdr;
   };
 

@@ -358,7 +358,7 @@ std::string summary_markdown(const RunData& run) {
   }
   const auto hdrs = hdr_rows(run.metrics);
   if (!hdrs.empty()) {
-    out << "\n## latency metrics (metrics.json, hdr)\n\n" << kStatsHeader;
+    out << "\n## distributions (metrics.json, hdr)\n\n" << kStatsHeader;
     for (const auto& [name, stats] : hdrs) append_stats_row(out, name, stats);
   }
   if (const util::json::Value* stats = run.manifest.find("stats");

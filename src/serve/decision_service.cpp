@@ -1,7 +1,9 @@
 #include "serve/decision_service.h"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
+#include <utility>
 
 #include "nn/ops.h"
 #include "obs/metrics.h"
@@ -157,10 +159,12 @@ std::future<Decision> DecisionService::submit(DecisionRequest request) {
   {
     std::lock_guard lock(mutex_);
     if (stopping_) {
-      pending.promise.set_exception(std::make_exception_ptr(
-          std::runtime_error("decision service stopped")));
+      // Count before completing: stats() read right after future.get()
+      // must already include this request (same order everywhere below).
       failures_.fetch_add(1, std::memory_order_relaxed);
       ServeMetrics::get().failures.add(1);
+      pending.promise.set_exception(std::make_exception_ptr(
+          std::runtime_error("decision service stopped")));
       return future;
     }
     queue_.push_back(std::move(pending));
@@ -234,12 +238,12 @@ void DecisionService::worker_loop(std::size_t /*worker_index*/) {
       if (model_ == nullptr) {
         // Stopping with requests that never saw a model: fail them.
         while (!queue_.empty()) {
+          failures_.fetch_add(1, std::memory_order_relaxed);
+          ServeMetrics::get().failures.add(1);
           queue_.front().promise.set_exception(std::make_exception_ptr(
               std::runtime_error("decision service stopped before a model "
                                  "was installed")));
           queue_.pop_front();
-          failures_.fetch_add(1, std::memory_order_relaxed);
-          ServeMetrics::get().failures.add(1);
         }
         return;
       }
@@ -289,6 +293,7 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
   // the batch it rode in with.
   std::vector<const DecisionRequest*> valid_requests;
   std::vector<std::size_t> valid_slots;
+  std::vector<std::pair<std::size_t, std::exception_ptr>> rejected;
   valid_requests.reserve(batch.size());
   valid_slots.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -297,9 +302,7 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
       valid_requests.push_back(&batch[i].request);
       valid_slots.push_back(i);
     } catch (const std::exception&) {
-      batch[i].promise.set_exception(std::current_exception());
-      failures_.fetch_add(1, std::memory_order_relaxed);
-      metrics.failures.add(1);
+      rejected.emplace_back(i, std::current_exception());
     }
   }
 
@@ -315,16 +318,11 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
       decide_dql(replica, valid_requests, picks);
   }
 
-  for (std::size_t i = 0; i < valid_requests.size(); ++i) {
-    Pending& pending = batch[valid_slots[i]];
-    Decision decision;
-    decision.job_index = picks[i];
-    decision.model_version = snapshot.version();
-    decision.batch_id = batch_id;
-    decision.batch_size = static_cast<std::uint32_t>(batch.size());
-    decision.latency_us = micros_since(pending.enqueued);
-    metrics.request_latency_us.observe(decision.latency_us);
-    pending.promise.set_value(decision);
+  // Count the batch before completing any of its futures, so stats()
+  // read right after future.get() already includes it.
+  if (!rejected.empty()) {
+    failures_.fetch_add(rejected.size(), std::memory_order_relaxed);
+    metrics.failures.add(rejected.size());
   }
   metrics.batch_size.observe(static_cast<double>(batch.size()));
   metrics.requests.add(valid_requests.size());
@@ -335,6 +333,19 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
   while (seen < batch.size() &&
          !max_batch_.compare_exchange_weak(
              seen, batch.size(), std::memory_order_relaxed)) {
+  }
+
+  for (auto& [slot, error] : rejected) batch[slot].promise.set_exception(error);
+  for (std::size_t i = 0; i < valid_requests.size(); ++i) {
+    Pending& pending = batch[valid_slots[i]];
+    Decision decision;
+    decision.job_index = picks[i];
+    decision.model_version = snapshot.version();
+    decision.batch_id = batch_id;
+    decision.batch_size = static_cast<std::uint32_t>(batch.size());
+    decision.latency_us = micros_since(pending.enqueued);
+    metrics.request_latency_us.observe(decision.latency_us);
+    pending.promise.set_value(decision);
   }
 }
 

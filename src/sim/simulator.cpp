@@ -29,12 +29,9 @@ struct SimMetrics {
   obs::Counter& fault_kills = reg.counter("sim.jobs.killed_fault");
   obs::Counter& requeues = reg.counter("sim.jobs.requeued");
   obs::Counter& checkpoints = reg.counter("sim.checkpoints");
-  obs::Histogram& wait_s = reg.histogram(
-      "sim.job_wait_s", obs::Histogram::exponential_bounds(1.0, 4.0, 10));
-  obs::Histogram& queue_depth = reg.histogram(
-      "sim.queue_depth", obs::Histogram::linear_bounds(0.0, 16.0, 16));
-  obs::Histogram& schedule_us = reg.histogram(
-      "sim.schedule_us", obs::Histogram::exponential_bounds(1.0, 4.0, 12));
+  obs::HdrHistogram& wait_s = reg.hdr("sim.job_wait_s");
+  obs::HdrHistogram& queue_depth = reg.hdr("sim.queue_depth");
+  obs::HdrHistogram& schedule_us = reg.hdr("sim.schedule_us");
 
   static SimMetrics& get() {
     static SimMetrics metrics;

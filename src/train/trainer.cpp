@@ -1,6 +1,7 @@
 #include "train/trainer.h"
 
 #include <chrono>
+#include <cmath>
 
 #include "ckpt/manager.h"
 #include "exec/parallel_runner.h"
@@ -32,10 +33,10 @@ struct TrainMetrics {
   obs::HdrHistogram& episode_wall_s = reg.hdr("train.episode_wall_s");
   obs::HdrHistogram& validation_wall_s = reg.hdr("train.validation_wall_s");
   obs::HdrHistogram& round_wall_s = reg.hdr("train.round_wall_s");
-  // Loss keeps the fixed-bucket histogram: it can be negative, which
-  // the log-bucketed hdr kind would clamp away.
-  obs::Histogram& loss = reg.histogram(
-      "train.loss", obs::Histogram::exponential_bounds(1e-4, 10.0, 10));
+  // |loss|: policy-gradient losses go negative, which hdr would clamp
+  // away; the magnitude is what HealthMonitor's ceilings gate.  The
+  // signed loss stays in rounds.jsonl and the episode trace args.
+  obs::HdrHistogram& abs_loss = reg.hdr("train.abs_loss");
   obs::Counter& divergence_events = reg.counter("robust.divergence_events");
 
   static TrainMetrics& get() {
@@ -179,7 +180,7 @@ EpisodeResult Trainer::run_episode(const Jobset& jobset) {
   TrainMetrics& m = TrainMetrics::get();
   m.episodes.add();
   m.episode_wall_s.observe(result.wall_seconds);
-  m.loss.observe(result.loss);
+  m.abs_loss.observe(std::abs(result.loss));
   if (tracer != nullptr) {
     tracer->complete(
         util::format("episode {}", episodes_done_), trace_start,
@@ -304,7 +305,7 @@ std::vector<EpisodeResult> Trainer::run(Curriculum& curriculum,
       for (const EpisodeResult& result : batch) {
         m.episodes.add();
         m.episode_wall_s.observe(result.wall_seconds);
-        m.loss.observe(result.loss);
+        m.abs_loss.observe(std::abs(result.loss));
         util::log_info(
             "episode {} [{}] train reward {:.3f} validation {:.3f}",
             result.episode, result.jobset, result.training_reward,

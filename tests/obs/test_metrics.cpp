@@ -33,8 +33,7 @@ TEST_F(ObsMetricsTest, DisabledOpsAreNoOps) {
   set_enabled(false);
   auto& c = registry_.counter("test.counter");
   auto& g = registry_.gauge("test.gauge");
-  auto& h = registry_.histogram("test.hist",
-                                Histogram::linear_bounds(0.0, 1.0, 4));
+  auto& h = registry_.hdr("test.hist");
   for (int i = 0; i < 1000; ++i) {
     c.add();
     g.set(3.0);
@@ -53,8 +52,7 @@ TEST_F(ObsMetricsTest, DisabledOpsAreNoOps) {
 TEST_F(ObsMetricsTest, DisabledHotPathTouchesNoRegistryState) {
   set_enabled(false);
   auto& c = registry_.counter("test.pre");
-  auto& h = registry_.histogram("test.pre.h",
-                                Histogram::exponential_bounds(1.0, 2.0, 8));
+  auto& h = registry_.hdr("test.pre.h");
   const auto size_before = registry_.size();
   const auto snapshot_before = registry_.snapshot();
   for (int i = 0; i < 10000; ++i) {
@@ -90,8 +88,7 @@ TEST_F(ObsMetricsTest, ConcurrentCounterIncrementsAreLossless) {
 
 TEST_F(ObsMetricsTest, ConcurrentHistogramObservationsAreLossless) {
   set_enabled(true);
-  auto& h = registry_.histogram("test.concurrent.h",
-                                Histogram::linear_bounds(0.0, 10.0, 10));
+  auto& h = registry_.hdr("test.concurrent.h");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   std::vector<std::thread> threads;
@@ -99,7 +96,7 @@ TEST_F(ObsMetricsTest, ConcurrentHistogramObservationsAreLossless) {
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&h, t] {
       for (int i = 0; i < kPerThread; ++i)
-        h.observe(static_cast<double>((t * kPerThread + i) % 120));
+        h.observe(static_cast<double>(1 + (t * kPerThread + i) % 120));
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
@@ -107,29 +104,27 @@ TEST_F(ObsMetricsTest, ConcurrentHistogramObservationsAreLossless) {
   for (std::size_t i = 0; i < h.bucket_count(); ++i)
     bucket_total += h.bucket(i);
   EXPECT_EQ(bucket_total, h.count());
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 119.0);
+  EXPECT_DOUBLE_EQ(h.min(), 1.0);
+  EXPECT_DOUBLE_EQ(h.max(), 120.0);
 }
 
 TEST_F(ObsMetricsTest, HistogramBucketPlacement) {
   set_enabled(true);
-  // Bounds {1, 4, 16}: bucket i counts v <= bounds[i]; last is overflow.
-  auto& h = registry_.histogram("test.buckets",
-                                Histogram::exponential_bounds(1.0, 4.0, 3));
-  ASSERT_EQ(h.bounds(), (std::vector<double>{1.0, 4.0, 16.0}));
-  ASSERT_EQ(h.bucket_count(), 4u);
-  h.observe(0.5);   // <= 1
-  h.observe(1.0);   // <= 1 (inclusive upper bound)
-  h.observe(3.0);   // <= 4
-  h.observe(16.0);  // <= 16
-  h.observe(99.0);  // overflow
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 3.0 + 16.0 + 99.0);
-  EXPECT_DOUBLE_EQ(h.mean(), h.sum() / 5.0);
+  // Registry hdr instruments bucket each observation by its log-scale
+  // index; equal values share a bucket, distant values do not.
+  auto& h = registry_.hdr("test.buckets");
+  h.observe(3.0);
+  h.observe(3.0);
+  h.observe(16.0);
+  h.observe(99.0);
+  ASSERT_NE(h.index_of(3.0), h.index_of(16.0));
+  ASSERT_NE(h.index_of(16.0), h.index_of(99.0));
+  EXPECT_EQ(h.bucket(h.index_of(3.0)), 2u);
+  EXPECT_EQ(h.bucket(h.index_of(16.0)), 1u);
+  EXPECT_EQ(h.bucket(h.index_of(99.0)), 1u);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_DOUBLE_EQ(h.sum(), 3.0 + 3.0 + 16.0 + 99.0);
+  EXPECT_DOUBLE_EQ(h.mean(), h.sum() / 4.0);
 }
 
 TEST_F(ObsMetricsTest, GaugeSetAndAdd) {
@@ -145,8 +140,7 @@ TEST_F(ObsMetricsTest, GaugeSetAndAdd) {
 
 TEST_F(ObsMetricsTest, ScopedTimerRecordsMicroseconds) {
   set_enabled(true);
-  auto& h = registry_.histogram("test.timer",
-                                Histogram::exponential_bounds(1.0, 4.0, 10));
+  auto& h = registry_.hdr("test.timer");
   { ScopedTimer t(h); }
   EXPECT_EQ(h.count(), 1u);
   EXPECT_GE(h.min(), 0.0);
@@ -164,14 +158,13 @@ TEST_F(ObsMetricsTest, RegistryReusesHandlesByName) {
 TEST_F(ObsMetricsTest, KindClashThrows) {
   (void)registry_.counter("clash");
   EXPECT_THROW((void)registry_.gauge("clash"), std::invalid_argument);
-  EXPECT_THROW((void)registry_.histogram("clash", {1.0}),
-               std::invalid_argument);
+  EXPECT_THROW((void)registry_.hdr("clash"), std::invalid_argument);
 }
 
 TEST_F(ObsMetricsTest, ResetValuesKeepsRegistrations) {
   set_enabled(true);
   auto& c = registry_.counter("r.c");
-  auto& h = registry_.histogram("r.h", {1.0, 2.0});
+  auto& h = registry_.hdr("r.h");
   c.add(3);
   h.observe(1.5);
   registry_.reset_values();
@@ -192,17 +185,10 @@ TEST_F(ObsMetricsTest, SnapshotIsSortedByName) {
   EXPECT_EQ(snap[1].kind, MetricKind::Gauge);
 }
 
-TEST_F(ObsMetricsTest, BoundsHelpers) {
-  EXPECT_EQ(Histogram::exponential_bounds(1.0, 2.0, 4),
-            (std::vector<double>{1.0, 2.0, 4.0, 8.0}));
-  EXPECT_EQ(Histogram::linear_bounds(0.0, 5.0, 3),
-            (std::vector<double>{0.0, 5.0, 10.0}));
-}
-
 TEST_F(ObsMetricsTest, JsonDumpParses) {
   set_enabled(true);
   registry_.counter("dump.count").add(2);
-  registry_.histogram("dump.hist", {1.0, 2.0}).observe(1.5);
+  registry_.hdr("dump.hist").observe(1.5);
   const auto doc = util::json::parse(metrics_to_json(registry_));
   const auto* metrics = doc.find("metrics");
   ASSERT_NE(metrics, nullptr);
@@ -212,9 +198,9 @@ TEST_F(ObsMetricsTest, JsonDumpParses) {
   EXPECT_EQ(counter.find("kind")->as_string(), "counter");
   EXPECT_DOUBLE_EQ(counter.find("value")->as_number(), 2.0);
   const auto& hist = metrics->as_array()[1];
-  EXPECT_EQ(hist.find("kind")->as_string(), "histogram");
+  EXPECT_EQ(hist.find("kind")->as_string(), "hdr");
   EXPECT_DOUBLE_EQ(hist.find("count")->as_number(), 1.0);
-  ASSERT_NE(hist.find("buckets"), nullptr);
+  ASSERT_NE(hist.find("p99"), nullptr);
 }
 
 TEST_F(ObsMetricsTest, CsvDumpHasHeaderAndRows) {

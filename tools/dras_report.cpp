@@ -33,7 +33,7 @@ void usage() {
       "\n"
       "Summarizes run directories written by `dras_sim --run-dir` (and the\n"
       "bench harness): percentile tables for round time and every hdr\n"
-      "latency metric.  --compare gates candidate against baseline and\n"
+      "distribution.  --compare gates candidate against baseline and\n"
       "exits 1 when any thresholded metric regresses (default thresholds:\n"
       "round_time_p99=0.10,final_score=0.10).  Metric names: round_time_p50/\n"
       "p90/p99/p999/mean, final_score, wall_seconds, episodes, rounds, and\n"

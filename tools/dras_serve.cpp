@@ -24,7 +24,6 @@
 // snapshot appeared within --wait-model-timeout").
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <future>
 #include <iostream>
@@ -36,18 +35,15 @@
 #include "ckpt/manager.h"
 #include "core/presets.h"
 #include "metrics/report.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
-#include "obs/run_manifest.h"
+#include "obs/run_session.h"
 #include "serve/decision_service.h"
 #include "serve/model_watcher.h"
 #include "serve/net/chaos.h"
 #include "serve/net/client.h"
 #include "serve/net/server.h"
 #include "util/args.h"
-#include "util/binio.h"
 #include "util/format.h"
-#include "util/fs.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/signal.h"
@@ -97,7 +93,11 @@ int usage(const std::string& error = {}) {
       "                      (default 1; in-process/--listen only)\n"
       "  --verify-every K    determinism oracle every Kth request\n"
       "                      (default 64; 0 = off)\n"
-      "  --csv / --verbose / --run-dir DIR / --metrics-out F / --profile\n"
+      "  --csv / --verbose\n"
+      "  --run-dir DIR       run.json + rounds.jsonl + metrics.json +\n"
+      "                      trace.json (request/batch/forward spans)\n"
+      "  --trace-out F / --trace-format chrome|jsonl / --metrics-out F /\n"
+      "  --profile           telemetry flags shared with dras_sim\n"
       "\n"
       "--listen mode:\n"
       "  --io-workers N      connection handler threads (default 4)\n"
@@ -226,68 +226,12 @@ struct CommonOptions {
   std::uint64_t min_swaps = 1;
   std::size_t verify_every = 64;
   bool csv_output = false;
-  bool profile = false;
-  std::string metrics_out;
-  std::string run_dir;
 };
-
-void flush_telemetry(const dras::obs::RunRecorder* run_recorder,
-                     const std::string& metrics_out, bool profile) {
-  if (run_recorder)
-    dras::util::atomic_write_file(
-        run_recorder->metrics_path(),
-        dras::obs::metrics_to_json(dras::obs::Registry::global()));
-  if (!metrics_out.empty()) {
-    const bool as_csv = metrics_out.size() >= 4 &&
-                        metrics_out.rfind(".csv") == metrics_out.size() - 4;
-    dras::util::atomic_write_file(
-        metrics_out,
-        as_csv ? dras::obs::metrics_to_csv(dras::obs::Registry::global())
-               : dras::obs::metrics_to_json(dras::obs::Registry::global()));
-  }
-  if (profile)
-    std::cerr << dras::obs::metrics_to_text(dras::obs::Registry::global());
-}
-
-std::unique_ptr<dras::obs::RunRecorder> make_run_recorder(
-    const CommonOptions& opt, int argc, char** argv,
-    const std::string& mode_tag) {
-  if (opt.run_dir.empty()) return nullptr;
-  // Fingerprint what changes the decisions or the load shape; the batch
-  // policy and thread counts are included because this tool's job is
-  // comparing exactly those knobs.  The in-process fingerprint must stay
-  // stable across the transport addition (committed baselines reference
-  // it), so only the socket modes fold in a mode tag.
-  std::string canonical = format(
-      "policy={};model={};nodes={};seed={};clients={};workers={};"
-      "requests={};rate={};max_batch={};max_wait_us={}",
-      opt.policy_name, opt.model_name, opt.config.total_nodes, opt.seed,
-      opt.clients, opt.workers, opt.requests_per_client, opt.rate,
-      opt.max_batch, opt.max_wait.count());
-  if (mode_tag != "inprocess") canonical += format(";mode={}", mode_tag);
-  char fingerprint[16];
-  std::snprintf(fingerprint, sizeof(fingerprint), "%08x",
-                dras::util::crc32(canonical));
-  dras::obs::RunInfo info;
-  info.tool = "dras_serve";
-  info.argv.assign(argv, argv + argc);
-  info.seed = opt.seed;
-  info.config_fingerprint = fingerprint;
-  auto run_recorder =
-      std::make_unique<dras::obs::RunRecorder>(opt.run_dir, std::move(info));
-  run_recorder->note("policy", opt.policy_name);
-  run_recorder->note("model", opt.model_name);
-  run_recorder->note("checkpoint_dir", opt.checkpoint_dir);
-  if (mode_tag != "inprocess") run_recorder->note("mode", mode_tag);
-  return run_recorder;
-}
 
 // ---------------------------------------------------------------------------
 // Default mode: in-process service driven through the C++ API (PR 7).
 
-int run_inprocess(const CommonOptions& opt, int argc, char** argv) {
-  auto run_recorder = make_run_recorder(opt, argc, argv, "inprocess");
-
+int run_inprocess(const CommonOptions& opt, dras::obs::RunSession& session) {
   dras::serve::ServiceOptions service_options;
   service_options.policy.max_batch = opt.max_batch;
   service_options.policy.max_wait = opt.max_wait;
@@ -308,9 +252,7 @@ int run_inprocess(const CommonOptions& opt, int argc, char** argv) {
       code != 0) {
     watcher.stop();
     service.stop();
-    flush_telemetry(run_recorder.get(), opt.metrics_out, opt.profile);
-    if (run_recorder) run_recorder->finish(code);
-    return code;
+    return session.finish(code) ? code : 2;
   }
   dras::util::log_info("serving {} from {} (version {})", opt.policy_name,
                        opt.checkpoint_dir,
@@ -432,24 +374,18 @@ int run_inprocess(const CommonOptions& opt, int argc, char** argv) {
   const std::uint64_t swaps = watcher.swaps_installed();
   const auto service_stats = service.stats();
 
-  if (run_recorder) {
-    run_recorder->set_stat("decisions_per_sec", decisions_per_sec);
-    run_recorder->set_stat("requests_answered",
-                           static_cast<double>(total.answered));
-    run_recorder->set_stat("requests_failed",
-                           static_cast<double>(total.failed));
-    run_recorder->set_stat("requests_stalled", static_cast<double>(stalled));
-    run_recorder->set_stat("swaps_installed", static_cast<double>(swaps));
-    run_recorder->set_stat("watcher_load_failures",
-                           static_cast<double>(watcher.load_failures()));
-    run_recorder->set_stat("decisions_verified",
-                           static_cast<double>(total.verified));
-    run_recorder->set_stat("decision_mismatches",
-                           static_cast<double>(total.mismatches));
-    run_recorder->set_stat("batch_mean", batch.mean);
-    run_recorder->set_stat("latency_p99_us", latency.p99);
-  }
-  flush_telemetry(run_recorder.get(), opt.metrics_out, opt.profile);
+  session.set_stat("decisions_per_sec", decisions_per_sec);
+  session.set_stat("requests_answered", static_cast<double>(total.answered));
+  session.set_stat("requests_failed", static_cast<double>(total.failed));
+  session.set_stat("requests_stalled", static_cast<double>(stalled));
+  session.set_stat("swaps_installed", static_cast<double>(swaps));
+  session.set_stat("watcher_load_failures",
+                   static_cast<double>(watcher.load_failures()));
+  session.set_stat("decisions_verified", static_cast<double>(total.verified));
+  session.set_stat("decision_mismatches",
+                   static_cast<double>(total.mismatches));
+  session.set_stat("batch_mean", batch.mean);
+  session.set_stat("latency_p99_us", latency.p99);
 
   if (opt.csv_output) {
     std::cout << "policy,clients,workers,max_batch,max_wait_us,answered,"
@@ -509,15 +445,14 @@ int run_inprocess(const CommonOptions& opt, int argc, char** argv) {
        "answered + failed != submitted");
 
   const int code = gate_failed ? 3 : 0;
-  if (run_recorder) run_recorder->finish(code);
-  return code;
+  return session.finish(code) ? code : 2;
 }
 
 // ---------------------------------------------------------------------------
 // --listen: put the service on a socket until interrupted.
 
 int run_listen(const CommonOptions& opt, const dras::util::Args& args,
-               int argc, char** argv) {
+               dras::obs::RunSession& session) {
   const auto address =
       dras::util::SocketAddress::parse(args.get("listen", ""));
   dras::serve::net::ServerOptions server_options;
@@ -532,8 +467,6 @@ int run_listen(const CommonOptions& opt, const dras::util::Args& args,
       std::chrono::milliseconds(args.get_int("serve-for-ms", 0));
   if (const auto unread = args.unused(); !unread.empty())
     return usage(format("unknown option --{}", unread.front()));
-
-  auto run_recorder = make_run_recorder(opt, argc, argv, "listen");
 
   dras::serve::ServiceOptions service_options;
   service_options.policy.max_batch = opt.max_batch;
@@ -553,9 +486,7 @@ int run_listen(const CommonOptions& opt, const dras::util::Args& args,
       code != 0) {
     watcher.stop();
     service.stop();
-    flush_telemetry(run_recorder.get(), opt.metrics_out, opt.profile);
-    if (run_recorder) run_recorder->finish(code);
-    return code;
+    return session.finish(code) ? code : 2;
   }
 
   dras::util::InterruptGuard guard;
@@ -582,21 +513,15 @@ int run_listen(const CommonOptions& opt, const dras::util::Args& args,
   service.stop();
 
   const auto stats = server.stats();
-  if (run_recorder) {
-    run_recorder->set_stat("requests_answered",
-                           static_cast<double>(stats.requests_ok));
-    run_recorder->set_stat("requests_shed",
-                           static_cast<double>(stats.requests_shed));
-    run_recorder->set_stat("requests_bad",
-                           static_cast<double>(stats.requests_bad));
-    run_recorder->set_stat("frame_errors",
-                           static_cast<double>(stats.frame_errors));
-    run_recorder->set_stat("connections",
-                           static_cast<double>(stats.connections_accepted));
-    run_recorder->set_stat("swaps_installed",
-                           static_cast<double>(watcher.swaps_installed()));
-  }
-  flush_telemetry(run_recorder.get(), opt.metrics_out, opt.profile);
+  session.set_stat("requests_answered",
+                   static_cast<double>(stats.requests_ok));
+  session.set_stat("requests_shed", static_cast<double>(stats.requests_shed));
+  session.set_stat("requests_bad", static_cast<double>(stats.requests_bad));
+  session.set_stat("frame_errors", static_cast<double>(stats.frame_errors));
+  session.set_stat("connections",
+                   static_cast<double>(stats.connections_accepted));
+  session.set_stat("swaps_installed",
+                   static_cast<double>(watcher.swaps_installed()));
 
   dras::metrics::print_table(
       std::cout, {"metric", "value"},
@@ -611,15 +536,14 @@ int run_listen(const CommonOptions& opt, const dras::util::Args& args,
        {"frame errors", format("{}", stats.frame_errors)},
        {"snapshots installed", format("{}", watcher.swaps_installed())}});
 
-  if (run_recorder) run_recorder->finish(0);
-  return 0;
+  return session.finish(0) ? 0 : 2;
 }
 
 // ---------------------------------------------------------------------------
 // --connect: drive a remote server through DecisionClient threads.
 
 int run_connect(const CommonOptions& opt, const dras::util::Args& args,
-                int argc, char** argv) {
+                dras::obs::RunSession& session) {
   const auto address =
       dras::util::SocketAddress::parse(args.get("connect", ""));
   dras::serve::net::ClientOptions client_options;
@@ -639,8 +563,6 @@ int run_connect(const CommonOptions& opt, const dras::util::Args& args,
   if (const auto unread = args.unused(); !unread.empty())
     return usage(format("unknown option --{}", unread.front()));
 
-  auto run_recorder = make_run_recorder(opt, argc, argv, "connect");
-
   // The fallback model (and the oracle replicas) come from the shared
   // checkpoint directory — the one piece of state trainer, server and
   // client have in common.
@@ -653,8 +575,7 @@ int run_connect(const CommonOptions& opt, const dras::util::Args& args,
       std::cerr << format(
           "GATE FAIL: --fallback: no checkpoint found in '{}'\n",
           opt.checkpoint_dir);
-      if (run_recorder) run_recorder->finish(3);
-      return 3;
+      return session.finish(3) ? 3 : 2;
     }
     fallback = dras::serve::ModelSnapshot::load(*newest, opt.config);
     dras::util::log_info("fallback model: version {}", fallback->version());
@@ -788,33 +709,25 @@ int run_connect(const CommonOptions& opt, const dras::util::Args& args,
     net_total.breaker_closes += s.breaker_closes;
   }
 
-  if (run_recorder) {
-    run_recorder->set_stat("decisions_per_sec", decisions_per_sec);
-    run_recorder->set_stat("requests_answered",
-                           static_cast<double>(total.answered));
-    run_recorder->set_stat("requests_failed",
-                           static_cast<double>(total.failed));
-    run_recorder->set_stat("requests_stalled", static_cast<double>(stalled));
-    run_recorder->set_stat("decisions_verified",
-                           static_cast<double>(total.verified));
-    run_recorder->set_stat("decision_mismatches",
-                           static_cast<double>(total.mismatches));
-    run_recorder->set_stat("batch_mean", batch.mean);
-    run_recorder->set_stat("latency_p99_us", latency.p99);
-    run_recorder->set_stat("degraded_decisions",
-                           static_cast<double>(total.degraded));
-    run_recorder->set_stat("client_retries",
-                           static_cast<double>(net_total.retries));
-    run_recorder->set_stat("client_reconnects",
-                           static_cast<double>(net_total.reconnects));
-    run_recorder->set_stat("transport_errors",
-                           static_cast<double>(net_total.transport_errors));
-    run_recorder->set_stat("breaker_opens",
-                           static_cast<double>(net_total.breaker_opens));
-    run_recorder->set_stat("breaker_closes",
-                           static_cast<double>(net_total.breaker_closes));
-  }
-  flush_telemetry(run_recorder.get(), opt.metrics_out, opt.profile);
+  session.set_stat("decisions_per_sec", decisions_per_sec);
+  session.set_stat("requests_answered", static_cast<double>(total.answered));
+  session.set_stat("requests_failed", static_cast<double>(total.failed));
+  session.set_stat("requests_stalled", static_cast<double>(stalled));
+  session.set_stat("decisions_verified", static_cast<double>(total.verified));
+  session.set_stat("decision_mismatches",
+                   static_cast<double>(total.mismatches));
+  session.set_stat("batch_mean", batch.mean);
+  session.set_stat("latency_p99_us", latency.p99);
+  session.set_stat("degraded_decisions", static_cast<double>(total.degraded));
+  session.set_stat("client_retries", static_cast<double>(net_total.retries));
+  session.set_stat("client_reconnects",
+                   static_cast<double>(net_total.reconnects));
+  session.set_stat("transport_errors",
+                   static_cast<double>(net_total.transport_errors));
+  session.set_stat("breaker_opens",
+                   static_cast<double>(net_total.breaker_opens));
+  session.set_stat("breaker_closes",
+                   static_cast<double>(net_total.breaker_closes));
 
   if (opt.csv_output) {
     std::cout << "policy,clients,answered,failed,stalled,degraded,"
@@ -878,8 +791,7 @@ int run_connect(const CommonOptions& opt, const dras::util::Args& args,
   }
 
   const int code = gate_failed ? 3 : 0;
-  if (run_recorder) run_recorder->finish(code);
-  return code;
+  return session.finish(code) ? code : 2;
 }
 
 // ---------------------------------------------------------------------------
@@ -962,12 +874,6 @@ int main(int argc, char** argv) {
 
     CommonOptions opt;
     opt.csv_output = args.flag("csv");
-    opt.profile = args.flag("profile");
-    opt.metrics_out = args.get("metrics-out", "");
-    opt.run_dir = args.get("run-dir", "");
-    if (opt.profile || !opt.metrics_out.empty() || !opt.run_dir.empty())
-      dras::obs::set_enabled(true);
-
     opt.checkpoint_dir = args.get("checkpoint-dir", "");
     if (opt.checkpoint_dir.empty() && connect_spec.empty())
       return usage("--checkpoint-dir is required");
@@ -1007,11 +913,34 @@ int main(int argc, char** argv) {
                                      opt.seed);
     opt.config.total_nodes = nodes;
 
-    if (!listen_spec.empty()) return run_listen(opt, args, argc, argv);
-    if (!connect_spec.empty()) return run_connect(opt, args, argc, argv);
+    // Fingerprint what changes the decisions or the load shape; the batch
+    // policy and thread counts are included because this tool's job is
+    // comparing exactly those knobs.  The in-process fingerprint must
+    // stay stable across the transport addition (committed baselines
+    // reference it), so only the socket modes fold in a mode tag.
+    const std::string mode = !listen_spec.empty()    ? "listen"
+                             : !connect_spec.empty() ? "connect"
+                                                     : "inprocess";
+    std::string canonical = format(
+        "policy={};model={};nodes={};seed={};clients={};workers={};"
+        "requests={};rate={};max_batch={};max_wait_us={}",
+        opt.policy_name, opt.model_name, opt.config.total_nodes, opt.seed,
+        opt.clients, opt.workers, opt.requests_per_client, opt.rate,
+        opt.max_batch, opt.max_wait.count());
+    if (mode != "inprocess") canonical += format(";mode={}", mode);
+    dras::obs::RunSession session(
+        args, {"dras_serve", {argv, argv + argc}, opt.seed,
+               dras::obs::config_fingerprint(canonical)});
+    session.note("policy", opt.policy_name);
+    session.note("model", opt.model_name);
+    session.note("checkpoint_dir", opt.checkpoint_dir);
+    if (mode != "inprocess") session.note("mode", mode);
+
+    if (mode == "listen") return run_listen(opt, args, session);
+    if (mode == "connect") return run_connect(opt, args, session);
     if (const auto unread = args.unused(); !unread.empty())
       return usage(format("unknown option --{}", unread.front()));
-    return run_inprocess(opt, argc, argv);
+    return run_inprocess(opt, session);
   } catch (const std::exception& e) {
     return usage(e.what());
   }

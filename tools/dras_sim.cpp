@@ -11,7 +11,6 @@
 // Policies: fcfs, binpacking, random, optimization, decima-pg, sjf, ljf,
 //           wfp3, f1, user-rr, drr, wfq, dras-pg, dras-dql
 // Models:   theta, cori, theta-mini, cori-mini
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -27,10 +26,7 @@
 #include "metrics/fairness.h"
 #include "metrics/report.h"
 #include "nn/serialize.h"
-#include "obs/metrics.h"
-#include "obs/run_manifest.h"
-#include "obs/sink.h"
-#include "obs/trace.h"
+#include "obs/run_session.h"
 #include "robust/health.h"
 #include "robust/recovery.h"
 #include "rollout/rollout_pool.h"
@@ -46,9 +42,7 @@
 #include "train/evaluator.h"
 #include "train/trainer.h"
 #include "util/args.h"
-#include "util/binio.h"
 #include "util/format.h"
-#include "util/fs.h"
 #include "util/logging.h"
 #include "util/signal.h"
 #include "workload/models.h"
@@ -234,80 +228,6 @@ int main(int argc, char** argv) {
     if (args.flag("verbose"))
       dras::util::set_log_level(dras::util::LogLevel::Info);
 
-    // Telemetry: the tracer (if requested) becomes the process default so
-    // every simulator — including the ones inside training episodes —
-    // feeds it; metrics collection turns on for --metrics-out/--profile.
-    const bool profile = args.flag("profile");
-    const std::string metrics_out = args.get("metrics-out", "");
-    const std::string run_dir = args.get("run-dir", "");
-    std::unique_ptr<dras::obs::EventTracer> tracer;
-    // Declared before the InterruptGuard below so the guard's destructor
-    // (which drops the signal-flush hooks referencing these) runs first.
-    std::unique_ptr<dras::obs::RunRecorder> run_recorder;
-    const auto format_name = args.get("trace-format", "chrome");
-    if (format_name != "chrome" && format_name != "jsonl")
-      return usage(format("unknown trace format '{}'", format_name));
-    if (args.has("trace-out")) {
-      // Atomic sink: the trace file appears only once finalized, so a
-      // crash mid-run never leaves truncated JSON at the target path.
-      tracer = std::make_unique<dras::obs::EventTracer>(
-          dras::obs::make_sink(args.get("trace-out", ""), /*atomic=*/true),
-          format_name == "jsonl" ? dras::obs::TraceFormat::Jsonl
-                                 : dras::obs::TraceFormat::ChromeJson);
-      dras::obs::set_default_tracer(tracer.get());
-    }
-    if (profile || !metrics_out.empty() || !run_dir.empty())
-      dras::obs::set_enabled(true);
-
-    // ^C / SIGTERM set a flag the training loop polls at episode
-    // boundaries; training flushes a final checkpoint and we exit with
-    // the shell convention code instead of losing the run.
-    dras::util::InterruptGuard interrupt_guard;
-
-    const auto flush_telemetry = [&]() -> bool {
-      // Normal shutdown owns the flush from here on; drop the signal
-      // hooks so the watcher cannot race the teardown below.
-      dras::util::InterruptGuard::clear_flush_hooks();
-      if (run_recorder) {
-        try {
-          dras::util::atomic_write_file(
-              run_recorder->metrics_path(),
-              dras::obs::metrics_to_json(dras::obs::Registry::global()));
-        } catch (const std::exception& e) {
-          std::cerr << format("error: cannot write '{}': {}\n",
-                              run_recorder->metrics_path().string(),
-                              e.what());
-          return false;
-        }
-      }
-      if (tracer) {
-        tracer->close();
-        dras::obs::set_default_tracer(nullptr);
-        tracer.reset();
-      }
-      if (!metrics_out.empty()) {
-        const bool as_csv =
-            metrics_out.size() >= 4 &&
-            metrics_out.rfind(".csv") == metrics_out.size() - 4;
-        try {
-          dras::util::atomic_write_file(
-              metrics_out,
-              as_csv
-                  ? dras::obs::metrics_to_csv(dras::obs::Registry::global())
-                  : dras::obs::metrics_to_json(
-                        dras::obs::Registry::global()));
-        } catch (const std::exception& e) {
-          std::cerr << format("error: cannot write '{}': {}\n", metrics_out,
-                              e.what());
-          return false;
-        }
-      }
-      if (profile)
-        std::cerr << dras::obs::metrics_to_text(
-            dras::obs::Registry::global());
-      return true;
-    };
-
     auto setup = pick_model(args.get("model", "theta-mini"));
     // Multi-tenant mode: tag synthetic jobs (main trace AND training
     // episodes) with a Zipf user mix.  The user draw rides a separate
@@ -437,13 +357,16 @@ int main(int argc, char** argv) {
     const auto inject_at =
         static_cast<std::size_t>(args.get_int("inject-at", 1));
 
-    if (!run_dir.empty()) {
-      // Fingerprint the *result-relevant* configuration: everything
-      // that changes the trained parameters or the evaluated workload.
-      // Worker counts are deliberately excluded — results are
-      // byte-identical across --rollout-workers/--exec-jobs, so runs
-      // differing only in parallelism stay comparable in dras_report.
-      std::string canonical = format(
+    // Fingerprint the *result-relevant* configuration: everything that
+    // changes the trained parameters or the evaluated workload.  Worker
+    // counts are deliberately excluded — results are byte-identical
+    // across --rollout-workers/--exec-jobs, so runs differing only in
+    // parallelism stay comparable in dras_report.  Built only for
+    // --run-dir: reading --load etc. here would hide them from the
+    // unknown-option check on runs that never use them.
+    std::string canonical;
+    if (args.has("run-dir")) {
+      canonical = format(
           "policy={};model={};swf={};nodes={};jobs={};seed={};load={};"
           "depth={};train_episodes={};rollout_batch={}",
           policy_name, args.get("model", "theta-mini"), args.get("swf", ""),
@@ -475,42 +398,21 @@ int main(int argc, char** argv) {
             args.get_double("fairness-weight", 0.0),
             args.flag("fairness-features") ? 1 : 0);
       }
-      char fingerprint[16];
-      std::snprintf(fingerprint, sizeof(fingerprint), "%08x",
-                    dras::util::crc32(canonical));
-      dras::obs::RunInfo info;
-      info.tool = "dras_sim";
-      info.argv.assign(argv, argv + argc);
-      info.seed = seed;
-      info.config_fingerprint = fingerprint;
-      run_recorder =
-          std::make_unique<dras::obs::RunRecorder>(run_dir, std::move(info));
-      run_recorder->note("policy", policy_name);
-      run_recorder->note("model", args.has("swf") ? args.get("swf", "")
-                                                  : args.get("model",
-                                                             "theta-mini"));
-      if (!tracer) {
-        // Plain (non-atomic) sink: the signal-flush hook below drains
-        // partial traces on ^C, and a crash leaves a salvageable prefix
-        // instead of nothing.  --trace-out keeps its atomic contract.
-        tracer = std::make_unique<dras::obs::EventTracer>(
-            std::make_unique<dras::obs::FileSink>(run_recorder->trace_path()),
-            format_name == "jsonl" ? dras::obs::TraceFormat::Jsonl
-                                   : dras::obs::TraceFormat::ChromeJson);
-        dras::obs::set_default_tracer(tracer.get());
-      }
-      // Interrupted runs keep their partial telemetry: the guard's
-      // watcher thread flushes the recorder + tracer from ordinary
-      // thread context after the first SIGINT/SIGTERM.
-      dras::util::InterruptGuard::add_flush_hook([&tracer, &run_recorder] {
-        if (run_recorder) {
-          run_recorder->mark_interrupted(
-              dras::util::InterruptGuard::signal_received());
-          run_recorder->flush();
-        }
-        if (tracer) tracer->flush();
-      });
     }
+    // Telemetry: the session's tracer becomes the process default so
+    // every simulator — including the ones inside training episodes —
+    // feeds it.
+    dras::obs::RunSession session(
+        args, {"dras_sim", {argv, argv + argc}, seed,
+               dras::obs::config_fingerprint(canonical)});
+    session.note("policy", policy_name);
+    session.note("model", args.has("swf") ? args.get("swf", "")
+                                          : args.get("model", "theta-mini"));
+    // ^C / SIGTERM set a flag the training loop polls at episode
+    // boundaries; training flushes a final checkpoint and we exit with
+    // the shell convention code instead of losing the run.  Declared
+    // after the session so it is destroyed first (see RunSession).
+    dras::util::InterruptGuard interrupt_guard;
 
     const auto train_agent = [&](dras::core::DrasAgent& agent) {
       // Jobsets are regenerated from per-episode derived seeds, so they
@@ -535,7 +437,7 @@ int main(int argc, char** argv) {
 
       dras::train::RunOptions run_options;
       run_options.stop = &dras::util::InterruptGuard::flag();
-      run_options.run = run_recorder.get();
+      run_options.run = session.recorder();
       run_options.fault_scenario =
           faults_enabled ? &fault_scenario : nullptr;
       std::unique_ptr<dras::rollout::RolloutPool> rollout;
@@ -640,7 +542,13 @@ int main(int argc, char** argv) {
               };
         }
       }
-      (void)trainer.run(curriculum, run_options);
+      try {
+        (void)trainer.run(curriculum, run_options);
+      } catch (const dras::robust::DivergenceError&) {
+        // Keep the telemetry that explains the give-up (robust.*).
+        (void)session.finish(dras::robust::kDivergenceExitCode);
+        throw;
+      }
       agent.set_training(false);
     };
 
@@ -722,11 +630,7 @@ int main(int argc, char** argv) {
       std::cerr << "interrupted; training state checkpointed, skipping "
                    "evaluation\n";
       const int code = 128 + dras::util::InterruptGuard::signal_received();
-      if (run_recorder)
-        run_recorder->mark_interrupted(
-            dras::util::InterruptGuard::signal_received());
-      flush_telemetry();
-      if (run_recorder) run_recorder->finish(code);
+      (void)session.finish(code);
       return code;
     }
 
@@ -762,20 +666,15 @@ int main(int argc, char** argv) {
         (fairness.users == 1 &&
          fairness.per_user.front().user_id != dras::sim::kUnknownUser);
 
-    // Telemetry epilogue: finalize the trace document and dump metrics
-    // (both through atomic writers — see flush_telemetry above).
-    if (run_recorder && multi_tenant) {
-      run_recorder->set_stat("fairness_jain", fairness.jain_service);
-      run_recorder->set_stat("fairness_jain_slowdown",
-                             fairness.jain_slowdown);
-      run_recorder->set_stat("fairness_users",
-                             static_cast<double>(fairness.users));
-      run_recorder->set_stat("max_user_slowdown",
-                             fairness.max_user_slowdown);
+    // Telemetry epilogue: dump metrics, finalize the trace and manifest.
+    if (multi_tenant) {
+      session.set_stat("fairness_jain", fairness.jain_service);
+      session.set_stat("fairness_jain_slowdown", fairness.jain_slowdown);
+      session.set_stat("fairness_users", static_cast<double>(fairness.users));
+      session.set_stat("max_user_slowdown", fairness.max_user_slowdown);
     }
-    if (run_recorder) run_recorder->set_final_score(total_reward);
-    if (!flush_telemetry()) return 2;
-    if (run_recorder) run_recorder->finish(0);
+    session.set_final_score(total_reward);
+    if (!session.finish(0)) return 2;
 
     if (csv_output) {
       std::cout << "policy,nodes,depth,jobs,unfinished,avg_wait_s,max_wait_s,"
