@@ -1,6 +1,7 @@
 // Micro-benchmarks for the simulator substrate: event throughput under
-// FCFS/EASY, EASY backfill-candidate computation, state encoding, and the
-// knapsack DP of the Optimization baseline.
+// FCFS/EASY at theta-mini and Cori scale, EASY backfill-candidate
+// computation, state encoding, and the knapsack DP of the Optimization
+// baseline.
 #include <benchmark/benchmark.h>
 
 #include "core/state_encoder.h"
@@ -24,20 +25,46 @@ const dras::sim::Trace& mini_trace() {
   return trace;
 }
 
-void BM_SimulatorFcfsEasy(benchmark::State& state) {
-  const auto model = dras::workload::theta_mini_workload();
+const dras::workload::WorkloadModel& cori_model() {
+  static const auto model = dras::workload::cori_workload().with_load(0.9);
+  return model;
+}
+
+/// 12,076 nodes at load 0.9: ~1.1k running jobs at every backfill check.
+const dras::sim::Trace& cori_trace() {
+  static const dras::sim::Trace trace = [] {
+    dras::workload::GenerateOptions options;
+    options.num_jobs = 30000;
+    options.seed = dras::workload::kRealTraceSeed;
+    return dras::workload::generate_trace(cori_model(), options);
+  }();
+  return trace;
+}
+
+void run_fcfs_easy(benchmark::State& state, int nodes,
+                   const dras::sim::Trace& trace) {
   std::size_t jobs = 0;
   for (auto _ : state) {
-    dras::sim::Simulator sim(model.system_nodes);
+    dras::sim::Simulator sim(nodes);
     dras::sched::FcfsEasy fcfs;
-    const auto result = sim.run(mini_trace(), fcfs);
+    const auto result = sim.run(trace, fcfs);
     benchmark::DoNotOptimize(result.utilization);
     jobs += result.jobs.size();
   }
   state.counters["jobs/s"] = benchmark::Counter(
       static_cast<double>(jobs), benchmark::Counter::kIsRate);
 }
+
+void BM_SimulatorFcfsEasy(benchmark::State& state) {
+  run_fcfs_easy(state, dras::workload::theta_mini_workload().system_nodes,
+                mini_trace());
+}
 BENCHMARK(BM_SimulatorFcfsEasy)->Unit(benchmark::kMillisecond);
+
+void BM_SimulatorFcfsEasyCori(benchmark::State& state) {
+  run_fcfs_easy(state, cori_model().system_nodes, cori_trace());
+}
+BENCHMARK(BM_SimulatorFcfsEasyCori)->Unit(benchmark::kMillisecond);
 
 void BM_ClusterEarliestStart(benchmark::State& state) {
   const auto running = state.range(0);
@@ -122,19 +149,22 @@ BENCHMARK(BM_KnapsackDP)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BackfillCandidates(benchmark::State& state) {
-  dras::sim::Cluster cluster(4360);
+  // Half-busy machine of `nodes` nodes running `size`-node jobs: Theta
+  // with 19 running jobs, or Cori with ~1.1k.
+  const auto nodes = static_cast<int>(state.range(0));
+  const auto size = static_cast<int>(state.range(1));
+  dras::sim::Cluster cluster(nodes);
   dras::util::Rng rng(7);
   dras::sim::JobId id = 0;
-  // Half-busy machine.
-  while (cluster.free_nodes() > 2000) {
+  while (cluster.free_nodes() > nodes * 46 / 100) {
     dras::sim::Job job;
     job.id = id++;
-    job.size = 128;
+    job.size = size;
     job.runtime_estimate = rng.uniform(100.0, 10000.0);
     job.runtime_actual = job.runtime_estimate;
     (void)cluster.allocate(job, 0.0);
   }
-  const dras::sim::Reservation reservation{9999, 4000, 8000.0};
+  const dras::sim::Reservation reservation{9999, nodes - 360, 8000.0};
   std::vector<dras::sim::Job> waiting(256);
   std::vector<dras::sim::Job*> queue;
   for (auto& job : waiting) {
@@ -149,7 +179,11 @@ void BM_BackfillCandidates(benchmark::State& state) {
         dras::sim::backfill_candidates(cluster, reservation, queue, 0.0));
   }
 }
-BENCHMARK(BM_BackfillCandidates)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BackfillCandidates)
+    ->ArgNames({"nodes", "size"})
+    ->Args({4360, 128})
+    ->Args({12076, 6})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

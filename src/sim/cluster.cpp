@@ -23,6 +23,7 @@ bool Cluster::allocate(const Job& job, Time now) {
   rec.actual_end = now + job.effective_runtime();
   running_.emplace(job.id, rec);
   free_nodes_ -= job.size;
+  note_release_time(rec.estimated_end, job.size);
   return true;
 }
 
@@ -33,6 +34,7 @@ std::optional<RunningJob> Cluster::release(JobId id) {
   running_.erase(it);
   free_nodes_ += rec.size;
   assert(free_nodes_ <= total_nodes_);
+  note_release_time(rec.estimated_end, -rec.size);
   return rec;
 }
 
@@ -53,10 +55,12 @@ void Cluster::fail_free_node(Time repair_end) {
   --free_nodes_;
   down_.insert(std::upper_bound(down_.begin(), down_.end(), repair_end),
                repair_end);
+  note_release_time(repair_end, 1);
 }
 
 void Cluster::repair_node() {
   assert(!down_.empty());
+  note_release_time(down_.front(), -1);
   down_.erase(down_.begin());
   ++free_nodes_;
   assert(free_nodes_ <= total_nodes_);
@@ -83,12 +87,19 @@ Time Cluster::earliest_start(int size, Time now) const {
 }
 
 int Cluster::released_by(Time when) const noexcept {
+  if (horizon_ == when) return released_at_horizon_;
   int released = 0;
   for (const auto& [id, rec] : running_)
     if (rec.estimated_end <= when) released += rec.size;
   for (const Time repair : down_)
     if (repair <= when) ++released;
+  horizon_ = when;
+  released_at_horizon_ = released;
   return released;
+}
+
+void Cluster::note_release_time(Time when, int nodes) noexcept {
+  if (horizon_ && when <= *horizon_) released_at_horizon_ += nodes;
 }
 
 void Cluster::encode_nodes(Time now, std::vector<NodeRow>& out) const {
@@ -119,6 +130,7 @@ void Cluster::clear() {
   running_.clear();
   down_.clear();
   free_nodes_ = total_nodes_;
+  horizon_.reset();
 }
 
 }  // namespace dras::sim

@@ -97,6 +97,9 @@ class Cluster {
   [[nodiscard]] Time earliest_start(int size, Time now) const;
 
   /// Nodes whose estimated release is <= `when` (excludes already-free).
+  /// O(1) when `when` equals the previous query's time (the EASY
+  /// reservation start, asked once per backfill check); any other time
+  /// recounts the running set and becomes the new remembered horizon.
   [[nodiscard]] int released_by(Time when) const noexcept;
 
   /// Materialise the N node rows of the state encoding at time `now`,
@@ -113,7 +116,14 @@ class Cluster {
   int free_nodes_;
   std::unordered_map<JobId, RunningJob> running_;
   std::vector<Time> down_;  // repair-end times, ascending
+  // released_by() at horizon_, kept exact by every allocate, release,
+  // fail and repair whose release or repair time is <= horizon_.  Not
+  // thread-safe: a Cluster belongs to one Simulator.
+  mutable std::optional<Time> horizon_;
+  mutable int released_at_horizon_ = 0;
 
+  /// Add `nodes` (negative to remove) releasing at `when` to the count.
+  void note_release_time(Time when, int nodes) noexcept;
 };
 
 }  // namespace dras::sim

@@ -58,6 +58,9 @@ class SchedulingContext {
   [[nodiscard]] std::size_t queued_user_count() const noexcept;
 
   // --- Actions ---
+  // Every action fails for a job that is not queued, i.e. not in queue():
+  // not yet submitted, held by an unfinished dependency, running or done.
+
   /// Start `id` immediately (execution mode Ready unless the job held a
   /// reservation earlier, then Reserved).  Fails if it does not fit or is
   /// not queued.

@@ -150,17 +150,18 @@ bool Simulator::start_is_reservation_safe(const Job& job) const {
   return profile.can_start_now(job.size, job.runtime_estimate);
 }
 
-Job* Simulator::find_queued(JobId id) noexcept {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return nullptr;
-  Job& job = jobs_[it->second];
-  if (job.started()) return nullptr;
-  return &job;
+Job* Simulator::find_queued(JobId id) const noexcept {
+  for (Job* job : queue_.visible())
+    if (job->id == id) return job;
+  return nullptr;
 }
 
 bool Simulator::action_start(JobId id, bool as_backfill) {
-  Job* job = find_queued(id);
-  if (job == nullptr) return false;
+  // Queue membership is checked by start_job's removal, so the start path
+  // scans the queue once; the checks before it only read state.
+  const auto it = index_.find(id);
+  if (it == index_.end()) return false;
+  Job* job = &jobs_[it->second];
   if (ledger_.holds(id)) return false;  // reserved jobs start automatically
   if (as_backfill && !ledger_.active()) return false;
   if (!cluster_.fits(job->size)) return false;
@@ -175,7 +176,7 @@ bool Simulator::action_start(JobId id, bool as_backfill) {
   } else {
     mode = ExecMode::Ready;
   }
-  start_job(*job, mode);
+  if (!start_job(*job, mode)) return false;
   if (!observers_.empty()) {
     SchedulingContext ctx(*this);
     notify_observers(ctx, *job);
@@ -236,7 +237,9 @@ void Simulator::auto_start_reserved(const SchedulingContext& ctx) {
         if (!profile.can_start_now(job.size, job.runtime_estimate)) continue;
       }
       ledger_.remove(r.job);
-      start_job(job, ExecMode::Reserved);
+      const bool started = start_job(job, ExecMode::Reserved);
+      assert(started);  // reserve() accepts only queued jobs
+      (void)started;
       notify_observers(ctx, job);
       progress = true;
       break;  // ledger mutated; restart the scan
@@ -244,10 +247,8 @@ void Simulator::auto_start_reserved(const SchedulingContext& ctx) {
   }
 }
 
-void Simulator::start_job(Job& job, ExecMode mode) {
-  const bool removed = queue_.remove(job.id);
-  assert(removed);
-  (void)removed;
+bool Simulator::start_job(Job& job, ExecMode mode) {
+  if (!queue_.remove(job.id)) return false;
   const bool allocated = cluster_.allocate(job, now_);
   assert(allocated);
   (void)allocated;
@@ -292,6 +293,7 @@ void Simulator::start_job(Job& job, ExecMode mode) {
                       {obs::targ("job", job.id), obs::targ("size", job.size),
                        obs::targ("wait_s", job.wait_time())});
   }
+  return true;
 }
 
 void Simulator::handle_event(const Event& event) {

@@ -107,7 +107,9 @@ class Simulator {
   // --- SchedulingContext backing operations ---
   bool action_start(JobId id, bool as_backfill);
   bool action_reserve(JobId id);
-  [[nodiscard]] Job* find_queued(JobId id) noexcept;
+  /// The visible-queue entry for `id`, or nullptr: jobs not yet
+  /// submitted, held by a dependency, running or finished are not queued.
+  [[nodiscard]] Job* find_queued(JobId id) const noexcept;
 
   /// Starting `job` now keeps every outstanding reservation satisfiable.
   [[nodiscard]] bool start_is_reservation_safe(const Job& job) const;
@@ -117,7 +119,9 @@ class Simulator {
   /// Start any reserved jobs that now fit without jeopardising the rest.
   void auto_start_reserved(const SchedulingContext& ctx);
 
-  void start_job(Job& job, ExecMode mode);
+  /// Start `job` now.  Returns false, changing nothing, when it is not in
+  /// the visible queue.
+  [[nodiscard]] bool start_job(Job& job, ExecMode mode);
   void handle_event(const Event& event);
   void reset(const Trace& trace);
   void notify_observers(const SchedulingContext& ctx, const Job& job);

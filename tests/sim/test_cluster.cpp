@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <set>
+
 #include "../test_helpers.h"
+#include "util/rng.h"
 
 namespace dras::sim {
 namespace {
@@ -90,6 +95,109 @@ TEST(Cluster, ReleasedByCountsEstimatedReleases) {
   EXPECT_EQ(cluster.released_by(50.0), 0);
   EXPECT_EQ(cluster.released_by(100.0), 3);
   EXPECT_EQ(cluster.released_by(250.0), 7);
+}
+
+// --- released_by() horizon count against a recount ----------------------
+//
+// The cluster remembers released_by() for the last time it was asked
+// about and adjusts that count on every allocate, release, fail and
+// repair.  A shadow of the running set and the down nodes recounts every
+// answer.  Times sit on a half-second grid and horizons are often an
+// existing estimated end or repair time, so the <= boundary is hit
+// exactly.
+TEST(SimulatorHorizonCount, MatchesRecountUnderRandomMutations) {
+  constexpr int kNodes = 300;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    Cluster cluster(kNodes);
+    std::map<JobId, std::pair<Time, int>> running;  // (estimated end, size)
+    std::multiset<Time> down;                        // repair ends
+    JobId next_id = 0;
+
+    const auto recount = [&](Time when) {
+      int released = 0;
+      for (const auto& [id, rec] : running)
+        if (rec.first <= when) released += rec.second;
+      for (const Time repair : down)
+        if (repair <= when) ++released;
+      return released;
+    };
+    const auto grid_time = [&] {
+      return static_cast<Time>(rng.uniform_index(2000));
+    };
+    // An estimated end or repair time in use, a grid time, or one between.
+    const auto pick_time = [&]() -> Time {
+      switch (rng.uniform_index(4)) {
+        case 0:
+          if (!running.empty())
+            return std::next(running.begin(),
+                             static_cast<std::ptrdiff_t>(
+                                 rng.uniform_index(running.size())))
+                ->second.first;
+          break;
+        case 1:
+          if (!down.empty())
+            return *std::next(down.begin(),
+                              static_cast<std::ptrdiff_t>(
+                                  rng.uniform_index(down.size())));
+          break;
+        case 2:
+          return rng.uniform(0.0, 2000.0);
+        default:
+          break;
+      }
+      return grid_time();
+    };
+
+    Time horizon = pick_time();
+    for (int step = 0; step < 4000; ++step) {
+      const auto op = rng.uniform_index(100);
+      if (op < 35) {
+        const Time now = grid_time() / 2.0;
+        const auto size = static_cast<int>(1 + rng.uniform_index(40));
+        const auto estimate = static_cast<Time>(1 + rng.uniform_index(1000));
+        const Job job = make_job(next_id++, now, size, estimate);
+        if (cluster.allocate(job, now))
+          running.emplace(job.id, std::pair{now + estimate, size});
+      } else if (op < 65) {
+        if (!running.empty()) {
+          const auto it = std::next(
+              running.begin(), static_cast<std::ptrdiff_t>(
+                                   rng.uniform_index(running.size())));
+          ASSERT_TRUE(cluster.release(it->first).has_value());
+          running.erase(it);
+        }
+      } else if (op < 80) {
+        if (cluster.free_nodes() > 0) {
+          const Time repair_end = pick_time();
+          cluster.fail_free_node(repair_end);
+          down.insert(repair_end);
+        }
+      } else if (op < 92) {
+        if (!down.empty()) {
+          cluster.repair_node();
+          down.erase(down.begin());
+        }
+      } else if (op < 93) {
+        cluster.clear();
+        running.clear();
+        down.clear();
+      } else if (op < 97) {
+        horizon = pick_time();
+      } else {
+        const Time fresh = pick_time();
+        ASSERT_EQ(cluster.released_by(fresh), recount(fresh))
+            << "fresh time " << fresh << " at step " << step;
+      }
+      int used = 0;
+      for (const auto& [id, rec] : running) used += rec.second;
+      ASSERT_EQ(cluster.free_nodes(),
+                kNodes - used - static_cast<int>(down.size()));
+      ASSERT_EQ(cluster.released_by(horizon), recount(horizon))
+          << "horizon " << horizon << " at step " << step;
+    }
+  }
 }
 
 TEST(Cluster, EncodeNodesLayout) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "../test_helpers.h"
 #include "sched/fcfs_easy.h"
@@ -21,27 +23,79 @@ using dras::testing::LambdaScheduler;
 // Whenever a reservation (job j, start t_r) is created, job j must start
 // no later than t_r, whatever gets backfilled afterwards.  This is the
 // correctness property of backfill_legal + the sticky reservation ledger.
+// Per start it reads: a job still running at t_r may start only if the
+// nodes free after it plus those released by t_r, recounted here from the
+// running set and the repair times, still cover the reservation.  A node
+// failure can take promised nodes away after the fact, so fault runs
+// check the per-start form only.
 
-class EasyGuarantee : public ::testing::TestWithParam<std::uint64_t> {};
+struct EasyCase {
+  std::string name;  ///< Test-name suffix.
+  workload::WorkloadModel model;
+  std::size_t jobs = 0;
+  std::uint64_t seed = 0;
+  double load_scale = 1.0;
+  double mtbf = 0.0;  ///< Per-node seconds; 0 = fault-free.
+};
+
+void PrintTo(const EasyCase& c, std::ostream* os) { *os << c.name; }
+
+EasyCase theta_mini_case(std::uint64_t seed) {
+  // Saturated: plenty of reservations.
+  return {std::to_string(seed), workload::theta_mini_workload(), 400, seed,
+          1.3, 0.0};
+}
+
+EasyCase cori_case(std::string name, double mtbf) {
+  // ~850 running jobs on 12,076 nodes, 20-30 reservations and ~950
+  // starts that overlap one.
+  return {std::move(name), workload::cori_workload(), 3000, 3, 1.3, mtbf};
+}
+
+class EasyGuarantee : public ::testing::TestWithParam<EasyCase> {};
 
 TEST_P(EasyGuarantee, ReservedStartNeverExceedsReservedTime) {
-  workload::WorkloadModel model = workload::theta_mini_workload();
+  const EasyCase& c = GetParam();
   workload::GenerateOptions gen;
-  gen.num_jobs = 400;
-  gen.seed = GetParam();
-  gen.load_scale = 1.3;  // saturated: plenty of reservations
-  const Trace trace = workload::generate_trace(model, gen);
+  gen.num_jobs = c.jobs;
+  gen.seed = c.seed;
+  gen.load_scale = c.load_scale;
+  const Trace trace = workload::generate_trace(c.model, gen);
 
-  Simulator sim(model.system_nodes);
+  Simulator sim(c.model.system_nodes);
+  FaultConfig faults;
+  faults.mtbf = c.mtbf;
+  faults.seed = c.seed;
+  sim.set_fault_config(faults);
   std::map<JobId, Time> promised;  // job -> latest reserved start promised
+  std::size_t overlapping_starts = 0;
   sim.set_action_observer([&](const SchedulingContext& ctx, const Job& job) {
-    if (ctx.reservation().active() && ctx.reservation().get().job == job.id)
-      promised[job.id] = ctx.reservation().get().start;
+    if (!ctx.reservation().active()) return;
+    const Reservation& r = ctx.reservation().get();
+    if (r.job == job.id) {
+      promised[job.id] = r.start;
+      return;
+    }
+    if (job.start_time + job.runtime_estimate <= r.start) return;
+    ++overlapping_starts;
+    int covered = ctx.cluster().free_nodes();
+    for (const RunningJob& rec : ctx.cluster().running_jobs())
+      if (rec.estimated_end <= r.start) covered += rec.size;
+    for (const Time repair : ctx.cluster().down_until())
+      if (repair <= r.start) ++covered;
+    EXPECT_GE(covered, r.size)
+        << "starting job " << job.id << " at " << ctx.now()
+        << " left the reservation of job " << r.job << " short";
   });
   sched::FcfsEasy fcfs;
   const auto result = sim.run(trace, fcfs);
 
   ASSERT_FALSE(promised.empty()) << "workload produced no reservations";
+  EXPECT_GT(overlapping_starts, 0u) << "no start overlapped a reservation";
+  if (c.mtbf > 0.0) {
+    EXPECT_GT(result.faults.node_failures, 0u);
+    return;
+  }
   std::map<JobId, JobRecord> by_id;
   for (const auto& rec : result.jobs) by_id[rec.id] = rec;
   for (const auto& [id, reserved_start] : promised) {
@@ -52,7 +106,15 @@ TEST_P(EasyGuarantee, ReservedStartNeverExceedsReservedTime) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EasyGuarantee,
-                         ::testing::Values(3u, 7u, 11u, 19u, 23u));
+                         ::testing::Values(theta_mini_case(3),
+                                           theta_mini_case(7),
+                                           theta_mini_case(11),
+                                           theta_mini_case(19),
+                                           theta_mini_case(23)));
+
+INSTANTIATE_TEST_SUITE_P(Cori, EasyGuarantee,
+                         ::testing::Values(cori_case("faults-off", 0.0),
+                                           cori_case("mtbf-1e8", 1e8)));
 
 // --- Fuzz: adversarial policies cannot corrupt the simulator -------------
 
@@ -63,16 +125,23 @@ TEST_P(SimulatorFuzz, RandomActionStormKeepsInvariants) {
   workload::GenerateOptions gen;
   gen.num_jobs = 200;
   gen.seed = GetParam();
-  const Trace trace = workload::generate_trace(model, gen);
+  Trace trace = workload::generate_trace(model, gen);
+  // Every tenth job waits for the one before it, so some trace jobs are
+  // held out of the visible queue after their submission.
+  for (std::size_t i = 9; i < trace.size(); i += 10)
+    trace[i].dependencies = {trace[i - 1].id};
 
   util::Rng rng(GetParam() * 977 + 13);
   LambdaScheduler chaos([&](SchedulingContext& ctx) {
     // A burst of arbitrary actions, many illegal: bogus ids, reserves of
-    // fitting jobs, backfills without reservations, double starts.
+    // fitting jobs, backfills without reservations, double starts, and
+    // jobs not yet submitted, held by a parent, running or finished.
     for (int i = 0; i < 20; ++i) {
       const auto roll = rng.uniform_index(6);
       JobId id = kInvalidJob;
-      if (!ctx.queue().empty())
+      if (rng.uniform_index(2) == 0)
+        id = trace[rng.uniform_index(trace.size())].id;
+      else if (!ctx.queue().empty())
         id = ctx.queue()[rng.uniform_index(ctx.queue().size())]->id;
       if (roll == 5) id = static_cast<JobId>(rng.uniform_index(1000000));
       switch (roll % 3) {
@@ -86,14 +155,29 @@ TEST_P(SimulatorFuzz, RandomActionStormKeepsInvariants) {
   Simulator sim(model.system_nodes);
   const auto result = sim.run(trace, chaos);
 
-  // Whatever the policy did: completed jobs have consistent timestamps
-  // and the machine was never over-allocated.
+  // Whatever the policy did: completed jobs have consistent timestamps,
+  // start after their parents end, and the machine was never
+  // over-allocated.
+  std::map<JobId, JobRecord> by_id;
   std::vector<std::pair<double, int>> deltas;
   for (const JobRecord& rec : result.jobs) {
     EXPECT_GE(rec.start, rec.submit);
     EXPECT_GE(rec.end, rec.start);
+    EXPECT_TRUE(by_id.emplace(rec.id, rec).second)
+        << "job " << rec.id << " completed twice";
     deltas.emplace_back(rec.start, rec.size);
     deltas.emplace_back(rec.end, -rec.size);
+  }
+  for (const Job& job : trace) {
+    if (!by_id.contains(job.id)) continue;
+    for (const JobId parent : job.dependencies) {
+      ASSERT_TRUE(by_id.contains(parent))
+          << "job " << job.id << " ran although parent " << parent
+          << " never finished";
+      EXPECT_GE(by_id.at(job.id).start, by_id.at(parent).end)
+          << "job " << job.id << " started before parent " << parent
+          << " ended";
+    }
   }
   std::sort(deltas.begin(), deltas.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first < b.first;

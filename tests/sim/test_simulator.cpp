@@ -155,6 +155,10 @@ TEST(Simulator, ContextRejectsIllegalActions) {
     checked = true;
     // Non-existent job.
     EXPECT_FALSE(ctx.start_now(999));
+    // Not in the visible queue yet: job 2 is submitted at t=500, job 3
+    // waits for job 1.
+    EXPECT_FALSE(ctx.start_now(2));
+    EXPECT_FALSE(ctx.start_now(3));
     // Job 1 fits: reserve must fail, start must succeed.
     EXPECT_FALSE(ctx.reserve(1));
     // Backfill without a reservation fails.
@@ -164,8 +168,14 @@ TEST(Simulator, ContextRejectsIllegalActions) {
     // Already started: every action on it now fails.
     EXPECT_FALSE(ctx.start_now(1));
     EXPECT_FALSE(ctx.reserve(1));
+    // Job 2 no longer fits, but it is still not queued.
+    EXPECT_FALSE(ctx.reserve(2));
+    EXPECT_FALSE(ctx.reservation().active());
   });
-  (void)sim.run({make_job(1, 0, 2, 10)}, probe);
+  Job child = make_job(3, 0, 2, 10);
+  child.dependencies = {1};
+  (void)sim.run({make_job(1, 0, 2, 10), make_job(2, 500, 4, 100), child},
+                probe);
   EXPECT_TRUE(checked);
 }
 
