@@ -18,8 +18,8 @@
 // rollout.slot_wall_s), making tail latency per worker count visible
 // next to the aggregate speedup.  Part 3 measures the batched network
 // forward (nn::Network::forward_batch, the kernel under the batched PG
-// update and the serving path) against a serial forward loop, with the
-// same bit-identity check per batched row.
+// and DQL paths and the serving path) against a serial forward loop, with
+// the same bit-identity check per batched row.
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -175,8 +175,10 @@ int main() {
     dras::core::DrasAgent agent(preset.agent_config(
         dras::core::AgentKind::PG,
         dras::util::derive_seed(7, "rollout-scaling")));
-    dras::rollout::RolloutPool pool({.workers = workers,
-                                     .batch = kRolloutBatch});
+    dras::rollout::RolloutOptions rollout_options;
+    rollout_options.workers = workers;
+    rollout_options.batch = kRolloutBatch;
+    dras::rollout::RolloutPool pool(rollout_options);
     dras::train::Curriculum curriculum(jobsets);
     dras::train::TrainerOptions trainer_options;
     trainer_options.validate_each_episode = false;
@@ -237,11 +239,13 @@ int main() {
       train_table);
 
   // --- Part 3: batched network forward. ---
-  // The PG update and the serving path both route multi-sample windows
-  // through nn::Network::forward_batch (gemm_batch) instead of a serial
-  // forward loop.  Measure the speedup per batch size and verify the
-  // batched outputs stay bit-identical to per-sample forward() — the
-  // guarantee the batched PG update rides on.
+  // The PG update, the DQL decision and update, and the serving path all
+  // route multi-sample windows through nn::Network::forward_batch
+  // (gemm_batch) instead of a serial forward loop.  Measure the speedup
+  // per batch size and verify the batched outputs stay bit-identical to
+  // per-sample forward() — the guarantee the batched PG and DQL updates
+  // ride on.  Batches 2, 5 and 10 end in a partial lane block, the sizes
+  // a DQL window (at most W = 10 candidates) produces.
   std::cout << format("\nbatched forward scaling: best of {} repetitions\n\n",
                       kRepetitions);
   dras::nn::NetworkConfig net_cfg;
@@ -255,7 +259,7 @@ int main() {
   bool all_rows_identical = true;
   double per_sample_best_per_row = 0.0;
   std::vector<std::vector<std::string>> fwd_table;
-  for (const std::size_t batch : {1u, 4u, 16u, 64u}) {
+  for (const std::size_t batch : {1u, 2u, 4u, 5u, 10u, 16u, 64u}) {
     std::vector<float> inputs(batch * net_cfg.input_size());
     for (float& v : inputs)
       v = static_cast<float>(net_rng.uniform(-1.0, 1.0));

@@ -86,7 +86,8 @@ void BM_PGDecision(benchmark::State& state,
   }
 }
 
-// One scheduling decision for DQL: W forward passes (one per window job).
+// One scheduling decision for DQL: one batched forward over the W window
+// jobs (DQLPolicy::select_action).
 void BM_DQLDecision(benchmark::State& state,
                     const dras::core::SystemPreset& preset) {
   auto& policy = dql_policy(preset);

@@ -36,6 +36,40 @@ double DQLPolicy::q_value(std::span<const float> state) {
   return static_cast<double>(network_.forward(state)[0]);
 }
 
+std::size_t DQLPolicy::greedy_index(std::span<const float> q) {
+  assert(!q.empty());
+  std::size_t best = 0;
+  double best_q = static_cast<double>(q[0]);
+  for (std::size_t i = 1; i < q.size(); ++i) {
+    const double qi = static_cast<double>(q[i]);
+    if (qi > best_q) {
+      best_q = qi;
+      best = i;
+    }
+  }
+  return best;
+}
+
+void DQLPolicy::load_row(std::size_t i, const std::vector<float>& state) {
+  const std::size_t in = config_.net.input_size();
+  if (state.size() != in)
+    throw std::invalid_argument("network input has the wrong length");
+  if (batch_inputs_.size() < (i + 1) * in) batch_inputs_.resize((i + 1) * in);
+  std::copy(state.begin(), state.end(),
+            batch_inputs_.begin() + static_cast<std::ptrdiff_t>(i * in));
+}
+
+std::span<const float> DQLPolicy::score_rows(std::size_t n, bool retain) {
+  const auto inputs = std::span<const float>(batch_inputs_)
+                          .first(n * config_.net.input_size());
+  batch_q_.resize(n);
+  if (retain)
+    network_.forward_batch_retained(inputs, n, batch_q_);
+  else
+    network_.forward_batch(inputs, n, batch_q_);
+  return batch_q_;
+}
+
 std::size_t DQLPolicy::select_action(
     const std::vector<std::vector<float>>& candidates, util::Rng& rng,
     bool explore) {
@@ -43,16 +77,9 @@ std::size_t DQLPolicy::select_action(
     throw std::invalid_argument("no candidates to select among");
   if (explore && rng.bernoulli(epsilon_))
     return rng.uniform_index(candidates.size());
-  std::size_t best = 0;
-  double best_q = q_value(candidates[0]);
-  for (std::size_t i = 1; i < candidates.size(); ++i) {
-    const double q = q_value(candidates[i]);
-    if (q > best_q) {
-      best_q = q;
-      best = i;
-    }
-  }
-  return best;
+  for (std::size_t i = 0; i < candidates.size(); ++i)
+    load_row(i, candidates[i]);
+  return greedy_index(score_rows(candidates.size(), /*retain=*/false));
 }
 
 void DQLPolicy::record(std::vector<std::vector<float>> candidates,
@@ -61,47 +88,59 @@ void DQLPolicy::record(std::vector<std::vector<float>> candidates,
   memory_.push_back(Transition{std::move(candidates), action, reward});
 }
 
-double DQLPolicy::max_q(const std::vector<std::vector<float>>& states) {
-  double best = q_value(states.front());
-  for (std::size_t i = 1; i < states.size(); ++i)
-    best = std::max(best, q_value(states[i]));
-  return best;
-}
-
 void DQLPolicy::update() {
   if (memory_.empty()) return;
+  const std::size_t steps = memory_.size();
   obs::Span update_span(
-      "nn.update",
-      {obs::targ("steps", static_cast<std::uint64_t>(memory_.size()))},
+      "nn.update", {obs::targ("steps", static_cast<std::uint64_t>(steps))},
       &update_us_hdr());
 
-  // Bootstrap targets first (they query the network with current θ).
-  std::vector<double> targets(memory_.size());
-  for (std::size_t k = 0; k < memory_.size(); ++k) {
+  // Bootstrap targets first (they query the network with current θ), one
+  // batched forward per next-state window.
+  std::vector<double> targets(steps);
+  for (std::size_t k = 0; k < steps; ++k) {
     double target = memory_[k].reward;
-    if (k + 1 < memory_.size())
-      target += config_.gamma * max_q(memory_[k + 1].candidates);
+    if (k + 1 < steps) {
+      const auto& next = memory_[k + 1].candidates;
+      for (std::size_t i = 0; i < next.size(); ++i) load_row(i, next[i]);
+      const auto q = score_rows(next.size(), /*retain=*/false);
+      double best = static_cast<double>(q[0]);
+      for (std::size_t i = 1; i < q.size(); ++i)
+        best = std::max(best, static_cast<double>(q[i]));
+      target += config_.gamma * best;
+    }
     targets[k] = target;
   }
 
+  // TD gradients: the chosen states' forwards run in retained batches of
+  // at most kTdChunk (so scratch never scales with the memory), and each
+  // sample is staged for its backward in transition order.
+  constexpr std::size_t kTdChunk = 16;
   network_.zero_gradients();
   float td_error_grad[1];
   double loss_acc = 0.0;
-  for (std::size_t k = 0; k < memory_.size(); ++k) {
-    const Transition& tr = memory_[k];
-    const double q_old = q_value(tr.candidates[tr.action]);
-    // Semi-gradient of ½(Q − target)² w.r.t. θ: (Q − target)·∇Q.
-    const double td_error = q_old - targets[k];
-    loss_acc += 0.5 * td_error * td_error;
-    td_error_grad[0] = static_cast<float>(td_error);
-    network_.backward(std::span<const float>(td_error_grad, 1));
+  for (std::size_t k0 = 0; k0 < steps; k0 += kTdChunk) {
+    const std::size_t n = std::min(kTdChunk, steps - k0);
+    for (std::size_t j = 0; j < n; ++j) {
+      const Transition& tr = memory_[k0 + j];
+      load_row(j, tr.candidates[tr.action]);
+    }
+    const auto q = score_rows(n, /*retain=*/true);
+    for (std::size_t j = 0; j < n; ++j) {
+      // Semi-gradient of ½(Q − target)² w.r.t. θ: (Q − target)·∇Q.
+      const double td_error = static_cast<double>(q[j]) - targets[k0 + j];
+      loss_acc += 0.5 * td_error * td_error;
+      td_error_grad[0] = static_cast<float>(td_error);
+      network_.stage_batch_sample(j);
+      network_.backward(std::span<const float>(td_error_grad, 1));
+    }
   }
-  const auto scale = 1.0f / static_cast<float>(memory_.size());
+  const auto scale = 1.0f / static_cast<float>(steps);
   for (float& g : network_.gradients()) g *= scale;
   double grad_sq = 0.0;
   for (const float g : network_.gradients())
     grad_sq += static_cast<double>(g) * static_cast<double>(g);
-  last_loss_ = loss_acc / static_cast<double>(memory_.size());
+  last_loss_ = loss_acc / static_cast<double>(steps);
   last_grad_norm_ = std::sqrt(grad_sq);
   if (sink_ != nullptr) {
     // Deferred mode (data-parallel rollout): deposit the batch-mean

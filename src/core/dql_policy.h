@@ -3,9 +3,11 @@
 //
 // The network scores one job at a time: the input is a single job block
 // plus the node rows, the output a scalar Q.  A window of W jobs is scored
-// with W forward passes of the same network; the agent normally takes the
-// argmax, or a uniformly random job with probability ε (ε starts at 1.0
-// and decays by ×0.995 per update).  Learning is semi-gradient TD:
+// with one batched forward of the same network (Network::forward_batch,
+// each row bit-identical to a forward pass of that job alone); the agent
+// normally takes the argmax, or a uniformly random job with probability ε
+// (ε starts at 1.0 and decays by ×0.995 per update).  Learning is
+// semi-gradient TD:
 //
 //   θ ← θ − α Σ_k ∇θ Q(s_k,a_k) ( Q(s_k,a_k) − [r_k + γ·max_a Q(s_{k+1},a)] )
 //
@@ -14,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/adam.h"
@@ -40,10 +43,16 @@ class DQLPolicy {
   [[nodiscard]] double q_value(std::span<const float> state);
 
   /// ε-greedy selection among candidate states (one encoding per job in
-  /// the window).  With `explore` false the choice is pure argmax.
+  /// the window).  With `explore` false the choice is greedy_index() of
+  /// the window's Q-values; an exploring pick runs no forward.
   [[nodiscard]] std::size_t select_action(
       const std::vector<std::vector<float>>& candidates, util::Rng& rng,
       bool explore);
+
+  /// The greedy rule: index of the first maximum of `q`, each Q widened to
+  /// double and compared with strict >.  Shared by select_action and the
+  /// batched serving head.  `q` must not be empty.
+  [[nodiscard]] static std::size_t greedy_index(std::span<const float> q);
 
   /// Append one transition.  `candidates` are the encodings the selection
   /// chose among; the next recorded transition supplies s_{k+1}.
@@ -51,7 +60,11 @@ class DQLPolicy {
               double reward);
 
   /// Eq. 4 semi-gradient update over the recorded transitions; clears the
-  /// memory and decays ε.  No-op when the memory is empty.
+  /// memory and decays ε.  No-op when the memory is empty.  Each
+  /// next-state window is scored by one batched forward, and the chosen
+  /// states' forwards run in retained batches of at most 16 whose samples
+  /// are staged for backward in transition order — bit-identical to one
+  /// forward/backward per transition.
   void update();
 
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
@@ -111,7 +124,11 @@ class DQLPolicy {
     double reward = 0.0;
   };
 
-  [[nodiscard]] double max_q(const std::vector<std::vector<float>>& states);
+  /// Copy `state` into row `i` of batch_inputs_, growing it as needed.
+  void load_row(std::size_t i, const std::vector<float>& state);
+  /// Q of the first `n` rows of batch_inputs_ via one batched forward
+  /// (retained for stage_batch_sample when `retain`).  Views batch_q_.
+  std::span<const float> score_rows(std::size_t n, bool retain);
 
   DQLConfig config_;
   nn::Network network_;
@@ -122,6 +139,10 @@ class DQLPolicy {
   double last_loss_ = 0.0;
   double last_grad_norm_ = 0.0;
   nn::GradientAccumulator* sink_ = nullptr;  // transient, never serialized
+  // Batched-forward scratch, grown on demand to one window or one TD
+  // chunk; transient, never serialized.
+  std::vector<float> batch_inputs_;
+  std::vector<float> batch_q_;
 };
 
 }  // namespace dras::core

@@ -47,7 +47,7 @@ DrasAgent::DrasAgent(const DrasConfig& config)
     PGConfig pg_cfg;
     pg_cfg.net = config.network_config();
     pg_cfg.adam = config.adam;
-    pg_ = std::make_unique<PGPolicy>(pg_cfg, config.seed);
+    pg_.emplace(pg_cfg, config.seed);
   } else {
     DQLConfig dql_cfg;
     dql_cfg.net = config.network_config();
@@ -56,31 +56,16 @@ DrasAgent::DrasAgent(const DrasConfig& config)
     dql_cfg.epsilon_init = config.epsilon_init;
     dql_cfg.epsilon_decay = config.epsilon_decay;
     dql_cfg.epsilon_min = config.epsilon_min;
-    dql_ = std::make_unique<DQLPolicy>(dql_cfg, config.seed);
+    dql_.emplace(dql_cfg, config.seed);
   }
 }
 
 std::unique_ptr<DrasAgent> DrasAgent::clone_agent() const {
-  auto copy = std::make_unique<DrasAgent>(config_);
-  // Policy heads are plain value types (vectors + PODs), so copy-assignment
-  // is an exact deep copy: parameters, Adam moments, epsilon, baselines and
-  // any pending experience memory.
-  if (pg_) *copy->pg_ = *pg_;
-  if (dql_) *copy->dql_ = *dql_;
-  copy->rng_ = rng_;
-  copy->training_ = training_;
-  copy->staged_state_ = staged_state_;
-  copy->staged_candidates_ = staged_candidates_;
-  copy->staged_valid_ = staged_valid_;
-  copy->staged_action_ = staged_action_;
-  copy->staged_ = staged_;
-  copy->episode_reward_ = episode_reward_;
-  copy->episode_actions_ = episode_actions_;
-  copy->instances_seen_ = instances_seen_;
-  copy->rng_nonce_ = rng_nonce_;
-  copy->recent_actions_ = recent_actions_;
-  copy->recent_actions_head_ = recent_actions_head_;
-  return copy;
+  // Every member is a value type (the policy heads are held in
+  // std::optional), so the copy constructor is an exact deep copy:
+  // parameters, Adam moments, epsilon, baselines, pending experience and
+  // the RNG position.  Nothing is initialised only to be overwritten.
+  return std::make_unique<DrasAgent>(*this);
 }
 
 std::vector<std::uint32_t> DrasAgent::recent_actions() const {

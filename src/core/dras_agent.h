@@ -145,8 +145,8 @@ class DrasAgent final : public sim::Scheduler {
     return pg_ ? pg_->optimizer() : dql_->optimizer();
   }
   /// Non-null exactly when kind == PG / DQL respectively.
-  [[nodiscard]] PGPolicy* pg() noexcept { return pg_.get(); }
-  [[nodiscard]] DQLPolicy* dql() noexcept { return dql_.get(); }
+  [[nodiscard]] PGPolicy* pg() noexcept { return pg_ ? &*pg_ : nullptr; }
+  [[nodiscard]] DQLPolicy* dql() noexcept { return dql_ ? &*dql_ : nullptr; }
 
   /// Divergence-recovery stream perturbation.  Nonce 0 (the default)
   /// reproduces the historical action-sampling stream exactly; a
@@ -222,8 +222,10 @@ class DrasAgent final : public sim::Scheduler {
   std::string name_;
   RewardFunction reward_;
   StateEncoder encoder_;
-  std::unique_ptr<PGPolicy> pg_;
-  std::unique_ptr<DQLPolicy> dql_;
+  // Held by value, so the implicit copy constructor is a deep copy of
+  // the whole agent (clone_agent).
+  std::optional<PGPolicy> pg_;
+  std::optional<DQLPolicy> dql_;
   util::Rng rng_;
   bool training_ = true;
 

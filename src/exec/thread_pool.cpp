@@ -162,9 +162,12 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
             obs::kExecPid, static_cast<int>(worker_index) + 1);
       }
     }
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    metrics.tasks_completed.add();
   }
+}
+
+void ThreadPool::note_completed() noexcept {
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  ExecMetrics::get().tasks_completed.add();
 }
 
 }  // namespace dras::exec

@@ -34,6 +34,7 @@
 #include <string_view>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace dras::exec {
@@ -76,16 +77,22 @@ class ThreadPool {
     using R = std::invoke_result_t<Fn&>;
     auto promise = std::make_shared<std::promise<R>>();
     std::future<R> future = promise->get_future();
-    enqueue(Task{[promise, fn = std::move(fn)]() mutable {
+    // The task counts as completed before its future becomes ready, so
+    // tasks_completed() read right after get() already includes it.
+    enqueue(Task{[this, promise, fn = std::move(fn)]() mutable {
                    try {
                      if constexpr (std::is_void_v<R>) {
                        fn();
+                       note_completed();
                        promise->set_value();
                      } else {
-                       promise->set_value(fn());
+                       R result = fn();
+                       note_completed();
+                       promise->set_value(std::forward<R>(result));
                      }
                    } catch (...) {
                      detail::note_task_failed();
+                     note_completed();
                      promise->set_exception(std::current_exception());
                    }
                  },
@@ -118,6 +125,7 @@ class ThreadPool {
 
   void enqueue(Task task);
   void worker_loop(std::size_t worker_index);
+  void note_completed() noexcept;
 
   Options options_;
   mutable std::mutex mutex_;

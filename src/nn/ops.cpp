@@ -1,10 +1,265 @@
 #include "nn/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 namespace dras::nn {
+
+namespace {
+
+// One SSE register of four float lanes.  Vector arithmetic is IEEE
+// single precision lane by lane, and the baseline x86-64 ISA has no FMA,
+// so `acc += w * x` stays a rounded multiply then a rounded add: the same
+// two operations the scalar loops perform, in the same order.
+using f32x4 = float __attribute__((vector_size(16)));
+
+inline f32x4 load4(const float* p) noexcept {
+  f32x4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void store4(float* p, f32x4 v) noexcept { std::memcpy(p, &v, sizeof v); }
+inline f32x4 splat(float s) noexcept { return f32x4{s, s, s, s}; }
+
+/// Lanes in a vector of type Vec.
+template <class Vec>
+constexpr std::size_t kLanesOf = sizeof(Vec) / sizeof(float);
+
+/// The first N lanes at `p` into `v` (zeros above): a partial block reads
+/// nothing past the batch.  Vectors travel by reference, so no wide vector
+/// is ever passed by value through a function built without AVX.
+template <std::size_t N, class Vec>
+[[gnu::always_inline]] inline void load_lanes(Vec& v, const float* p) noexcept {
+  static_assert(N >= 1 && N <= kLanesOf<Vec>);
+  if constexpr (N == kLanesOf<Vec>) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    v = Vec{};
+    for (std::size_t i = 0; i < N; ++i) v[i] = p[i];
+  }
+}
+template <std::size_t N, class Vec>
+[[gnu::always_inline]] inline void store_lanes(float* p,
+                                               const Vec& v) noexcept {
+  if constexpr (N == kLanesOf<Vec>) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < N; ++i) p[i] = v[i];
+  }
+}
+
+// Output rows per OpenMP work item in gemv and gemm_batch: each output
+// element belongs to exactly one tile, so one thread computes it.
+constexpr std::size_t kTileRows = 8;
+// Samples per gemm_batch lane block (four SSE or two AVX2 vectors).
+constexpr std::size_t kMaxLanes = 16;
+
+/// Eight rows of y = W·x.  A 4×4 patch of W (four rows, four columns) is
+/// loaded and transposed in registers, so vector lane j holds row j and
+/// adds its products column by column — gemv's sequential order — while
+/// the tile keeps eight independent add chains in flight.
+void gemv_tile8(const float* w, std::size_t cols, const float* x, float* y) {
+  f32x4 acc[2] = {};
+  std::size_t c = 0;
+  for (; c + 4 <= cols; c += 4) {
+    const f32x4 x0 = splat(x[c]), x1 = splat(x[c + 1]),
+                x2 = splat(x[c + 2]), x3 = splat(x[c + 3]);
+    for (std::size_t q = 0; q < 2; ++q) {
+      const float* p = w + 4 * q * cols + c;
+      const f32x4 r0 = load4(p), r1 = load4(p + cols),
+                  r2 = load4(p + 2 * cols), r3 = load4(p + 3 * cols);
+      const f32x4 lo01 = __builtin_shufflevector(r0, r1, 0, 4, 1, 5);
+      const f32x4 hi01 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
+      const f32x4 lo23 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
+      const f32x4 hi23 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
+      acc[q] += __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5) * x0;
+      acc[q] += __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7) * x1;
+      acc[q] += __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5) * x2;
+      acc[q] += __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7) * x3;
+    }
+  }
+  for (; c < cols; ++c) {
+    const f32x4 xc = splat(x[c]);
+    for (std::size_t q = 0; q < 2; ++q) {
+      const float* p = w + 4 * q * cols + c;
+      acc[q] += f32x4{p[0], p[cols], p[2 * cols], p[3 * cols]} * xc;
+    }
+  }
+  store4(y, acc[0]);
+  store4(y + 4, acc[1]);
+}
+
+/// R rows × V vectors of y = W·X in the sample-minor layout (row r of X
+/// and of Y at stride `stride`); the last vector holds N valid lanes.
+/// Lane b adds its products in column order, exactly as gemv does for
+/// sample b; six to eight accumulators keep the adds throughput-bound.
+template <class Vec, std::size_t R, std::size_t V, std::size_t N>
+[[gnu::always_inline]] inline void gemm_block(const float* w,
+                                              std::size_t cols,
+                                              const float* x,
+                                              std::size_t stride, float* y) {
+  constexpr std::size_t L = kLanesOf<Vec>;
+  Vec acc[R][V] = {};
+  for (std::size_t c = 0; c < cols; ++c) {
+    const float* xc = x + c * stride;
+    Vec xv[V];
+    for (std::size_t v = 0; v + 1 < V; ++v) load_lanes<L>(xv[v], xc + L * v);
+    load_lanes<N>(xv[V - 1], xc + L * (V - 1));
+    for (std::size_t r = 0; r < R; ++r) {
+      const float wrc = w[r * cols + c];
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] += wrc * xv[v];
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    float* yr = y + r * stride;
+    for (std::size_t v = 0; v + 1 < V; ++v)
+      store_lanes<L>(yr + L * v, acc[r][v]);
+    store_lanes<N>(yr + L * (V - 1), acc[r][V - 1]);
+  }
+}
+
+/// Up to kTileRows rows × `Lanes` samples: register blocks of the full
+/// width, so a remainder of the batch costs one block, not a slow loop.
+template <class Vec, std::size_t Lanes>
+[[gnu::always_inline]] inline void gemm_tile(const float* w, std::size_t cols,
+                                             const float* x,
+                                             std::size_t stride, float* y,
+                                             std::size_t rows) {
+  constexpr std::size_t L = kLanesOf<Vec>;
+  constexpr std::size_t V = (Lanes + L - 1) / L;
+  constexpr std::size_t N = Lanes - L * (V - 1);
+  constexpr std::size_t R = V == 1 ? 8 : V == 2 ? 4 : 2;
+  std::size_t r = 0;
+  for (; r + R <= rows; r += R)
+    gemm_block<Vec, R, V, N>(w + r * cols, cols, x, stride, y + r * stride);
+  for (; r < rows; ++r)
+    gemm_block<Vec, 1, V, N>(w + r * cols, cols, x, stride, y + r * stride);
+}
+
+using GemmTileFn = void (*)(const float*, std::size_t, const float*,
+                            std::size_t, float*, std::size_t);
+using GemmTiles = std::array<GemmTileFn, kMaxLanes>;
+
+/// The baseline build of every lane count, on four-lane SSE vectors.
+template <std::size_t Lanes>
+void gemm_tile_baseline(const float* w, std::size_t cols, const float* x,
+                        std::size_t stride, float* y, std::size_t rows) {
+  gemm_tile<f32x4, Lanes>(w, cols, x, stride, y, rows);
+}
+template <std::size_t... L>
+constexpr GemmTiles baseline_tiles(std::index_sequence<L...>) {
+  return {&gemm_tile_baseline<L + 1>...};
+}
+/// kBaselineTiles[l - 1] runs a block of l lanes.
+constexpr GemmTiles kBaselineTiles =
+    baseline_tiles(std::make_index_sequence<kMaxLanes>{});
+
+#if defined(__x86_64__) || defined(__i386__)
+// The same blocks on eight-lane AVX2 vectors, picked at run time on CPUs
+// that have AVX2.  The "avx2" target does not enable FMA, so `acc += w *
+// x` still compiles to a rounded multiply then a rounded add per lane —
+// the same IEEE operations as the baseline build, in the same order — and
+// the bits do not depend on which build runs.
+using f32x8 = float __attribute__((vector_size(32)));
+
+template <std::size_t Lanes>
+[[gnu::target("avx2")]] void gemm_tile_avx2(const float* w, std::size_t cols,
+                                            const float* x,
+                                            std::size_t stride, float* y,
+                                            std::size_t rows) {
+  gemm_tile<f32x8, Lanes>(w, cols, x, stride, y, rows);
+}
+template <std::size_t... L>
+constexpr GemmTiles avx2_tiles(std::index_sequence<L...>) {
+  return {&gemm_tile_avx2<L + 1>...};
+}
+constexpr GemmTiles kAvx2Tiles =
+    avx2_tiles(std::make_index_sequence<kMaxLanes>{});
+
+const GemmTiles& widest_tiles() {
+  // cpu_init makes the check safe even before static constructors ran.
+  static const GemmTiles& tiles =
+      (__builtin_cpu_init(), __builtin_cpu_supports("avx2")) ? kAvx2Tiles
+                                                            : kBaselineTiles;
+  return tiles;
+}
+#else
+const GemmTiles& widest_tiles() { return kBaselineTiles; }
+#endif
+
+void gemm_batch_on(const GemmTiles& tiles, std::span<const float> w,
+                   std::span<const float> xs, std::span<float> ys,
+                   std::size_t rows, std::size_t cols, std::size_t batch) {
+  assert(w.size() == rows * cols);
+  assert(xs.size() == batch * cols);
+  assert(ys.size() == batch * rows);
+  // A one-sample "batch" in sample-minor layout is just a gemv.
+  if (batch == 1) {
+    gemv(w, xs, ys, rows, cols);
+    return;
+  }
+  const float* wp = w.data();
+  const float* xp = xs.data();
+  float* yp = ys.data();
+  const auto row_tiles =
+      static_cast<std::ptrdiff_t>((rows + kTileRows - 1) / kTileRows);
+#pragma omp parallel for schedule(static)
+  for (std::ptrdiff_t t = 0; t < row_tiles; ++t) {
+    const std::size_t r0 = static_cast<std::size_t>(t) * kTileRows;
+    const std::size_t n = std::min(kTileRows, rows - r0);
+    for (std::size_t b0 = 0; b0 < batch; b0 += kMaxLanes) {
+      const std::size_t lanes = std::min(kMaxLanes, batch - b0);
+      tiles[lanes - 1](wp + r0 * cols, cols, xp + b0, batch,
+                       yp + r0 * batch + b0, n);
+    }
+  }
+}
+
+// Columns of grad_x per gemv_transpose_acc block (eight vectors).
+constexpr std::size_t kAxpyCols = 32;
+
+/// `Cols` columns of grad_x += Wᵀ·g.  The column sums are held in
+/// registers from +0 while every row of W is added in order (row r's
+/// products land before row r+1's), then added onto grad_x once — the
+/// same rounded adds as a column-sum loop followed by `out[c] += sum`.
+/// The block's vectors are independent add chains; the last one holds N
+/// valid columns.
+template <std::size_t Cols>
+void axpy_block(const float* w, const float* g, float* out, std::size_t rows,
+                std::size_t cols) {
+  constexpr std::size_t V = (Cols + 3) / 4;
+  constexpr std::size_t N = Cols - 4 * (V - 1);
+  f32x4 acc[V] = {};
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = w + r * cols;
+    const f32x4 gv = splat(g[r]);
+    for (std::size_t v = 0; v + 1 < V; ++v) acc[v] += load4(row + 4 * v) * gv;
+    f32x4 tail;
+    load_lanes<N>(tail, row + 4 * (V - 1));
+    acc[V - 1] += tail * gv;
+  }
+  for (std::size_t v = 0; v + 1 < V; ++v)
+    store4(out + 4 * v, load4(out + 4 * v) + acc[v]);
+  f32x4 tail;
+  load_lanes<N>(tail, out + 4 * (V - 1));
+  store_lanes<N>(out + 4 * (V - 1), tail + acc[V - 1]);
+}
+
+using AxpyBlockFn = void (*)(const float*, const float*, float*, std::size_t,
+                             std::size_t);
+template <std::size_t... C>
+constexpr std::array<AxpyBlockFn, sizeof...(C)> axpy_blocks(
+    std::index_sequence<C...>) {
+  return {&axpy_block<C + 1>...};
+}
+/// kAxpyBlocks[c - 1] runs a block of c columns.
+constexpr auto kAxpyBlocks = axpy_blocks(std::make_index_sequence<kAxpyCols>{});
+
+}  // namespace
 
 void gemv(std::span<const float> w, std::span<const float> x,
           std::span<float> y, std::size_t rows, std::size_t cols) {
@@ -14,63 +269,31 @@ void gemv(std::span<const float> w, std::span<const float> x,
   const float* wp = w.data();
   const float* xp = x.data();
   float* yp = y.data();
+  const auto tiles =
+      static_cast<std::ptrdiff_t>((rows + kTileRows - 1) / kTileRows);
 #pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    const float* row = wp + static_cast<std::size_t>(r) * cols;
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < cols; ++c) acc += row[c] * xp[c];
-    yp[r] = acc;
+  for (std::ptrdiff_t t = 0; t < tiles; ++t) {
+    const std::size_t r0 = static_cast<std::size_t>(t) * kTileRows;
+    const std::size_t n = std::min(kTileRows, rows - r0);
+    if (n == kTileRows) {
+      gemv_tile8(wp + r0 * cols, cols, xp, yp + r0);
+      continue;
+    }
+    for (std::size_t r = r0; r < r0 + n; ++r)
+      yp[r] = dot(std::span<const float>(wp + r * cols, cols), x);
   }
 }
 
 void gemm_batch(std::span<const float> w, std::span<const float> xs,
                 std::span<float> ys, std::size_t rows, std::size_t cols,
                 std::size_t batch) {
-  assert(w.size() == rows * cols);
-  assert(xs.size() == batch * cols);
-  assert(ys.size() == batch * rows);
-  // A one-sample "batch" in sample-minor layout is just a gemv; the
-  // blocked path below would only add per-column loop overhead.
-  if (batch == 1) {
-    gemv(w, xs, ys, rows, cols);
-    return;
-  }
-  const float* wp = w.data();
-  const float* xp = xs.data();
-  float* yp = ys.data();
-  // Sample-minor layout: lane b's accumulation visits features in the
-  // same sequential order as gemv, so each lane is bit-identical to the
-  // per-sample path — but the lanes are independent chains over
-  // contiguous memory, which breaks gemv's loop-carried FP dependence
-  // and lets the compiler vectorize across the batch.  Lanes are
-  // processed in fixed-width blocks so the accumulators live in
-  // registers.
-  constexpr std::size_t kLanes = 16;
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
-    const float* row = wp + static_cast<std::size_t>(r) * cols;
-    float* y = yp + static_cast<std::size_t>(r) * batch;
-    std::size_t b0 = 0;
-    for (; b0 + kLanes <= batch; b0 += kLanes) {
-      float acc[kLanes] = {};
-      for (std::size_t c = 0; c < cols; ++c) {
-        const float w_rc = row[c];
-        const float* x = xp + c * batch + b0;
-        for (std::size_t l = 0; l < kLanes; ++l) acc[l] += w_rc * x[l];
-      }
-      for (std::size_t l = 0; l < kLanes; ++l) y[b0 + l] = acc[l];
-    }
-    if (b0 < batch) {
-      const std::size_t lanes = batch - b0;
-      float acc[kLanes] = {};
-      for (std::size_t c = 0; c < cols; ++c) {
-        const float w_rc = row[c];
-        const float* x = xp + c * batch + b0;
-        for (std::size_t l = 0; l < lanes; ++l) acc[l] += w_rc * x[l];
-      }
-      for (std::size_t l = 0; l < lanes; ++l) y[b0 + l] = acc[l];
-    }
-  }
+  gemm_batch_on(widest_tiles(), w, xs, ys, rows, cols, batch);
+}
+
+void gemm_batch_baseline(std::span<const float> w, std::span<const float> xs,
+                         std::span<float> ys, std::size_t rows,
+                         std::size_t cols, std::size_t batch) {
+  gemm_batch_on(kBaselineTiles, w, xs, ys, rows, cols, batch);
 }
 
 void gemv_transpose_acc(std::span<const float> w,
@@ -83,13 +306,17 @@ void gemv_transpose_acc(std::span<const float> w,
   const float* wp = w.data();
   const float* gp = grad_y.data();
   float* out = grad_x.data();
-  // Column-parallel so each output element is owned by one thread.
+  // Column blocks, one per OpenMP work item: each thread owns its block of
+  // grad_x, sums rows 0…rows−1 for it in order (a row-major axpy into
+  // registers) and adds the sums on, so every element receives the same
+  // sequence of rounded adds as a column-sum loop.
+  const auto blocks =
+      static_cast<std::ptrdiff_t>((cols + kAxpyCols - 1) / kAxpyCols);
 #pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(cols); ++c) {
-    float acc = 0.0f;
-    for (std::size_t r = 0; r < rows; ++r)
-      acc += wp[r * cols + static_cast<std::size_t>(c)] * gp[r];
-    out[c] += acc;
+  for (std::ptrdiff_t k = 0; k < blocks; ++k) {
+    const std::size_t c0 = static_cast<std::size_t>(k) * kAxpyCols;
+    const std::size_t n = std::min(kAxpyCols, cols - c0);
+    kAxpyBlocks[n - 1](wp + c0, gp, out + c0, rows, cols);
   }
 }
 

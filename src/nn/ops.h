@@ -2,9 +2,11 @@
 //
 // Everything operates on contiguous float spans (row-major weight blocks)
 // so the Network can keep all parameters in one flat buffer for the
-// optimiser and for serialisation.  The GEMV kernels parallelise over
-// output rows with OpenMP when available; they are bit-deterministic for a
-// fixed thread count because each output element is reduced sequentially.
+// optimiser and for serialisation.  The matrix kernels parallelise with
+// OpenMP when available and are bit-identical at any thread count: each
+// output element is owned by one thread and adds its products in one
+// fixed sequential order.  Speed comes from register blocks that keep
+// many independent add chains in flight, never from reordering a sum.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +15,9 @@
 namespace dras::nn {
 
 /// y = W·x, W is rows×cols row-major, x has cols elements, y rows elements.
+/// Each y[r] is ((0 + W[r][0]·x[0]) + W[r][1]·x[1]) + …, in column
+/// order; eight rows run at once, one per vector lane after an in-register
+/// transpose of W.
 void gemv(std::span<const float> w, std::span<const float> x,
           std::span<float> y, std::size_t rows, std::size_t cols);
 
@@ -21,16 +26,28 @@ void gemv(std::span<const float> w, std::span<const float> x,
 /// `ys` is rows×batch.  Lane b accumulates its dot product in exactly
 /// gemv()'s sequential order, so column b of the result is bit-identical
 /// to gemv(w, x_b) — strict-FP semantics per sample are preserved.  The
-/// throughput win is structural: with samples adjacent in memory the
-/// inner loop runs independent accumulator lanes (SIMD-friendly,
-/// chain-dependence free across lanes) and each weight row is streamed
-/// once per batch instead of once per sample.  Network::forward_batch
-/// owns the transposes; its public layout stays sample-major.
+/// throughput win is structural: samples sit in vector lanes, a register
+/// block of rows × lanes keeps six to eight independent accumulators,
+/// and each weight row is streamed once per block of up to 16 samples.
+/// Every batch size runs at full block width; a partial block loads only
+/// its valid lanes.  On x86 CPUs with AVX2 the blocks run on eight-lane
+/// vectors (chosen at run time, no FMA), elsewhere on four-lane SSE
+/// vectors; both give the same bits.  Network::forward_batch owns the
+/// transposes; its public layout stays sample-major.
 void gemm_batch(std::span<const float> w, std::span<const float> xs,
                 std::span<float> ys, std::size_t rows, std::size_t cols,
                 std::size_t batch);
 
-/// grad_x += Wᵀ·grad_y  (backprop through y = W·x w.r.t. x).
+/// gemm_batch on the four-lane build only — the path a CPU without AVX2
+/// takes — so tests can check it on any host.
+void gemm_batch_baseline(std::span<const float> w, std::span<const float> xs,
+                         std::span<float> ys, std::size_t rows,
+                         std::size_t cols, std::size_t batch);
+
+/// grad_x += Wᵀ·grad_y  (backprop through y = W·x w.r.t. x).  Each
+/// grad_x[c] gains the column sum ((0 + W[0][c]·g[0]) + W[1][c]·g[1]) + …
+/// in one final add; the sums run as a row-major axpy over register
+/// blocks of columns.
 void gemv_transpose_acc(std::span<const float> w,
                         std::span<const float> grad_y,
                         std::span<float> grad_x, std::size_t rows,

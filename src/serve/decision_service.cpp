@@ -71,6 +71,15 @@ void validate_request(const core::DrasAgent& agent,
   }
 }
 
+/// The requests' states back to back: sample-major forward_batch rows.
+std::vector<float> pack_states(
+    std::span<const DecisionRequest* const> requests) {
+  std::vector<float> inputs;
+  for (const DecisionRequest* r : requests)
+    inputs.insert(inputs.end(), r->state.begin(), r->state.end());
+  return inputs;
+}
+
 /// Batched PG head: one forward_batch over all window states, then per
 /// request the exact greedy_action math — softmax_masked over the full
 /// logit row, argmax (first-max-wins) over the first `valid` probs.
@@ -78,13 +87,9 @@ void decide_pg(core::DrasAgent& agent,
                std::span<const DecisionRequest* const> requests,
                std::span<std::size_t> picks) {
   nn::Network& net = agent.network();
-  const std::size_t in = net.config().input_size();
   const std::size_t out = net.config().outputs;
   const std::size_t batch = requests.size();
-  std::vector<float> inputs(batch * in);
-  for (std::size_t b = 0; b < batch; ++b)
-    std::copy(requests[b]->state.begin(), requests[b]->state.end(),
-              inputs.begin() + static_cast<std::ptrdiff_t>(b * in));
+  const std::vector<float> inputs = pack_states(requests);
   std::vector<float> logits(batch * out);
   net.forward_batch(inputs, batch, logits);
   std::vector<float> probs(out);
@@ -101,35 +106,21 @@ void decide_pg(core::DrasAgent& agent,
 }
 
 /// Batched DQL head: every candidate of every request becomes one row
-/// of a single forward_batch; per request the argmax uses the exact
-/// select_action(explore=false) comparison — double-cast Q, strict >,
-/// first-wins.
+/// of a single forward_batch; per request the pick is
+/// DQLPolicy::greedy_index, the rule select_action(explore=false) uses.
 void decide_dql(core::DrasAgent& agent,
                 std::span<const DecisionRequest* const> requests,
                 std::span<std::size_t> picks) {
   nn::Network& net = agent.network();
-  const std::size_t in = net.config().input_size();
-  std::size_t total = 0;
-  for (const DecisionRequest* r : requests) total += r->valid;
-  std::vector<float> inputs;
-  inputs.reserve(total * in);
-  for (const DecisionRequest* r : requests)
-    inputs.insert(inputs.end(), r->state.begin(), r->state.end());
+  const std::vector<float> inputs = pack_states(requests);
+  const std::size_t total = inputs.size() / net.config().input_size();
   std::vector<float> q(total);
   net.forward_batch(inputs, total, q);
   std::size_t offset = 0;
   for (std::size_t b = 0; b < requests.size(); ++b) {
     const std::size_t n = requests[b]->valid;
-    std::size_t best = 0;
-    double best_q = static_cast<double>(q[offset]);
-    for (std::size_t i = 1; i < n; ++i) {
-      const double qi = static_cast<double>(q[offset + i]);
-      if (qi > best_q) {
-        best_q = qi;
-        best = i;
-      }
-    }
-    picks[b] = best;
+    picks[b] = core::DQLPolicy::greedy_index(
+        std::span<const float>(q).subspan(offset, n));
     offset += n;
   }
 }
@@ -176,13 +167,17 @@ std::future<Decision> DecisionService::submit(DecisionRequest request) {
 
 void DecisionService::install(std::shared_ptr<const ModelSnapshot> snapshot) {
   if (!snapshot) throw std::invalid_argument("install(nullptr)");
+  // One replica per worker, cloned before the swap: no batch waits on it.
+  std::vector<std::unique_ptr<core::DrasAgent>> replicas(options_.workers);
+  for (auto& replica : replicas) replica = snapshot->make_replica();
   {
-    // The swap is an O(1) pointer assignment under the queue mutex —
-    // submitters and batch-closers contend on the same lock for
-    // microseconds, never on a model load (which happened before this
-    // call, off the serving path).
+    // The swap is an O(1) exchange under the queue mutex — submitters
+    // and batch-closers contend on the same lock for microseconds, never
+    // on a model load or copy (both happened before this point).
     std::lock_guard lock(mutex_);
     model_ = std::move(snapshot);
+    ++model_generation_;
+    spare_replicas_.swap(replicas);  // unclaimed old spares die unlocked
   }
   swaps_.fetch_add(1, std::memory_order_relaxed);
   ServeMetrics::get().swaps.add(1);
@@ -218,12 +213,12 @@ DecisionService::Stats DecisionService::stats() const {
 }
 
 void DecisionService::worker_loop(std::size_t /*worker_index*/) {
-  // Per-worker model replica: cloned from the installed snapshot the
-  // first time this worker sees it, then reused until the pointer
-  // changes.  Cloning happens outside the lock, so a swap never stalls
-  // the queue.
+  // Per-worker model replica: taken from install()'s spares at this
+  // worker's first batch after each install() — told apart by generation,
+  // as a new snapshot may reuse a freed one's address — freed unlocked.
   std::unique_ptr<core::DrasAgent> replica;
-  const ModelSnapshot* replica_source = nullptr;
+  std::unique_ptr<core::DrasAgent> retired;
+  std::uint64_t replica_generation = 0;
   std::vector<Pending> batch;
   for (;;) {
     std::shared_ptr<const ModelSnapshot> snapshot;
@@ -266,15 +261,17 @@ void DecisionService::worker_loop(std::size_t /*worker_index*/) {
         queue_.pop_front();
       }
       snapshot = model_;
+      if (replica_generation != model_generation_) {
+        retired = std::exchange(replica, std::move(spare_replicas_.back()));
+        spare_replicas_.pop_back();
+        replica_generation = model_generation_;
+      }
       batch_id = next_batch_id_++;
       left_behind = queue_.size();
       ServeMetrics::get().queue_depth.set(static_cast<double>(left_behind));
     }
     if (left_behind > 0) cv_.notify_one();
-    if (replica_source != snapshot.get()) {
-      replica = snapshot->make_replica();
-      replica_source = snapshot.get();
-    }
+    retired.reset();
     serve_batch(batch, *snapshot, *replica, batch_id);
   }
 }

@@ -12,12 +12,11 @@
 // decision is bit-identical to the in-trainer decision from the same
 // snapshot (the determinism oracle, enforced in tests and the bench).
 //
-// Hot swap: install() flips a shared_ptr under the queue mutex — an
-// O(1) pointer assignment, so requests never stall on a swap.  Each
-// worker keeps a private DrasAgent replica cloned from the snapshot it
-// last saw and re-clones (outside the lock) when the pointer changed;
-// in-flight batches finish on the old replica.  Every Decision carries
-// the snapshot version that produced it.
+// Hot swap: install() clones one DrasAgent replica per worker, then
+// flips a shared_ptr under the queue mutex — an O(1) exchange, so
+// requests never stall on a swap.  A worker takes its replica of the
+// new snapshot at its next batch; in-flight batches finish on the old
+// replica.  Every Decision carries the snapshot version that produced it.
 //
 // Telemetry: counters serve.requests / serve.batches / serve.swaps /
 // serve.failures, gauge serve.queue_depth, hdr histograms
@@ -89,9 +88,9 @@ class DecisionService {
   /// the future fails with std::runtime_error.
   std::future<Decision> submit(DecisionRequest request);
 
-  /// Atomically make `snapshot` the serving model (shared_ptr flip
-  /// under the queue mutex).  In-flight batches complete on the
-  /// previous snapshot; later batches use the new one.
+  /// Clone one replica of `snapshot` per worker, then atomically make it
+  /// the serving model (shared_ptr flip under the queue mutex).  In-flight
+  /// batches complete on the previous snapshot; later batches use it.
   void install(std::shared_ptr<const ModelSnapshot> snapshot);
 
   [[nodiscard]] std::shared_ptr<const ModelSnapshot> current_snapshot() const;
@@ -129,6 +128,9 @@ class DecisionService {
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   std::shared_ptr<const ModelSnapshot> model_;
+  std::uint64_t model_generation_ = 0;  // install() calls so far
+  // install()'s replicas of model_, one per worker not yet holding one.
+  std::vector<std::unique_ptr<core::DrasAgent>> spare_replicas_;
   bool stopping_ = false;
   std::uint64_t next_batch_id_ = 0;
 

@@ -2,8 +2,8 @@
 //
 // A ModelSnapshot is the unit the hot-swap protocol moves around: the
 // ModelWatcher loads one from the newest checkpoint file, the
-// DecisionService flips a shared_ptr to it, and each inference worker
-// clones a private replica so batched forwards never share mutable
+// DecisionService clones a private replica per inference worker and
+// flips a shared_ptr to it, so batched forwards never share mutable
 // network scratch across threads.  The snapshot itself is never
 // forwarded through after construction — it is a frozen parameter
 // source, safe to share read-only between any number of workers.

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace dras::core {
@@ -19,6 +25,18 @@ DQLConfig tiny_config() {
 }
 
 std::vector<float> state(float fill) { return std::vector<float>(8, fill); }
+
+std::vector<float> random_state(util::Rng& rng, std::size_t size) {
+  std::vector<float> s(size);
+  for (float& v : s) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return s;
+}
+
+struct RecordedStep {
+  std::vector<std::vector<float>> candidates;
+  std::size_t action = 0;
+  double reward = 0.0;
+};
 
 TEST(DQLPolicy, RejectsMultiOutputNetwork) {
   DQLConfig cfg = tiny_config();
@@ -53,6 +71,21 @@ TEST(DQLPolicy, UpdateOnEmptyMemoryIsNoop) {
   EXPECT_DOUBLE_EQ(policy.epsilon(), tiny_config().epsilon_init);
 }
 
+/// First-max argmax of serial q_value, strict > over doubles.
+std::size_t serial_argmax(DQLPolicy& policy,
+                          const std::vector<std::vector<float>>& candidates) {
+  std::size_t best = 0;
+  double best_q = policy.q_value(candidates[0]);
+  for (std::size_t i = 1; i < candidates.size(); ++i) {
+    const double q = policy.q_value(candidates[i]);
+    if (q > best_q) {
+      best_q = q;
+      best = i;
+    }
+  }
+  return best;
+}
+
 TEST(DQLPolicy, SelectWithoutExploreIsArgmax) {
   DQLPolicy policy(tiny_config(), 5);
   util::Rng rng(7);
@@ -61,6 +94,114 @@ TEST(DQLPolicy, SelectWithoutExploreIsArgmax) {
   const auto pick = policy.select_action(candidates, rng, /*explore=*/false);
   double best = policy.q_value(candidates[pick]);
   for (const auto& c : candidates) EXPECT_GE(best + 1e-9, policy.q_value(c));
+
+  // The batched pick is exactly the serial first-max argmax, ties
+  // included, for every window size up to past one lane block.
+  util::Rng states(8);
+  for (std::size_t window = 1; window <= 17; ++window) {
+    std::vector<std::vector<float>> window_states(window);
+    for (auto& s : window_states) s = random_state(states, 8);
+    if (window >= 3) window_states[window - 1] = window_states[window / 2];
+    EXPECT_EQ(policy.select_action(window_states, rng, /*explore=*/false),
+              serial_argmax(policy, window_states))
+        << "window " << window;
+  }
+  const std::vector<std::vector<float>> tied = {state(0.9f), state(0.9f)};
+  EXPECT_EQ(policy.select_action(tied, rng, /*explore=*/false), 0u);
+}
+
+TEST(DQLPolicy, GreedyIndexTakesTheFirstMaximum) {
+  const std::vector<float> q = {-1.0f, 2.5f, 0.0f, 2.5f};
+  EXPECT_EQ(DQLPolicy::greedy_index(q), 1u);
+  const std::vector<float> one = {-3.0f};
+  EXPECT_EQ(DQLPolicy::greedy_index(one), 0u);
+}
+
+/// The serial Eq. 4 update the batched one replaces: one forward per
+/// candidate for each bootstrap max, one forward/backward per recorded
+/// transition.  `policy` supplies the network and optimiser only.
+struct SerialUpdate {
+  double loss = 0.0;
+  double grad_norm = 0.0;
+};
+SerialUpdate serial_update(DQLPolicy& policy, double gamma,
+                           const std::vector<RecordedStep>& memory) {
+  nn::Network& net = policy.network();
+  const auto q_of = [&](const std::vector<float>& s) {
+    return static_cast<double>(net.forward(s)[0]);
+  };
+  std::vector<double> targets(memory.size());
+  for (std::size_t k = 0; k < memory.size(); ++k) {
+    double target = memory[k].reward;
+    if (k + 1 < memory.size()) {
+      const auto& next = memory[k + 1].candidates;
+      double best = q_of(next.front());
+      for (std::size_t i = 1; i < next.size(); ++i)
+        best = std::max(best, q_of(next[i]));
+      target += gamma * best;
+    }
+    targets[k] = target;
+  }
+  net.zero_gradients();
+  double loss_acc = 0.0;
+  for (std::size_t k = 0; k < memory.size(); ++k) {
+    const double td_error =
+        q_of(memory[k].candidates[memory[k].action]) - targets[k];
+    loss_acc += 0.5 * td_error * td_error;
+    const float grad[1] = {static_cast<float>(td_error)};
+    net.backward(grad);
+  }
+  const auto scale = 1.0f / static_cast<float>(memory.size());
+  for (float& g : net.gradients()) g *= scale;
+  double grad_sq = 0.0;
+  for (const float g : net.gradients())
+    grad_sq += static_cast<double>(g) * static_cast<double>(g);
+  policy.optimizer().step(net.parameters(), net.gradients());
+  net.zero_gradients();
+  return {loss_acc / static_cast<double>(memory.size()), std::sqrt(grad_sq)};
+}
+
+// update() batches its forwards (a window per bootstrap, TD rows in
+// chunks of 16); parameters, loss and gradient norm must still match the
+// serial algorithm bit for bit.  The memories mix 1-candidate windows, a
+// 16-candidate window and more transitions than one TD chunk.
+TEST(DQLPolicy, BatchedUpdateBitIdenticalToSerialReference) {
+  DQLConfig cfg = tiny_config();
+  cfg.net.input_rows = 23;
+  cfg.net.fc1 = 19;
+  cfg.net.fc2 = 13;
+  DQLPolicy batched(cfg, 21);
+  DQLPolicy serial = batched;
+  util::Rng rng(22);
+  for (const std::size_t steps : {1u, 5u, 37u}) {
+    std::vector<RecordedStep> memory(steps);
+    for (std::size_t k = 0; k < steps; ++k) {
+      const std::size_t window = k % 3 == 0 ? 1 : k == 2 ? 16 : 1 + k % 7;
+      memory[k].candidates.resize(window);
+      for (auto& c : memory[k].candidates)
+        c = random_state(rng, cfg.net.input_size());
+      memory[k].action = rng.uniform_index(window);
+      memory[k].reward = rng.uniform(-1.0, 1.0);
+      batched.record(memory[k].candidates, memory[k].action,
+                     memory[k].reward);
+    }
+    batched.update();
+    const SerialUpdate expected = serial_update(serial, cfg.gamma, memory);
+
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.last_loss()),
+              std::bit_cast<std::uint64_t>(expected.loss))
+        << steps << " steps";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.last_grad_norm()),
+              std::bit_cast<std::uint64_t>(expected.grad_norm))
+        << steps << " steps";
+    const auto a = batched.network().parameters();
+    const auto b = serial.network().parameters();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+                std::bit_cast<std::uint32_t>(b[i]))
+          << steps << " steps, parameter " << i;
+  }
 }
 
 TEST(DQLPolicy, SelectOnEmptyCandidatesThrows) {

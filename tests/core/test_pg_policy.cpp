@@ -106,7 +106,8 @@ TEST(PGPolicy, LearnsBanditPreference) {
   for (int update = 0; update < 60; ++update) {
     for (int step = 0; step < 10; ++step) {
       const auto action = policy.sample_action(state, 3, rng);
-      policy.record(state, 3, action, action == 0 ? 1.0 : 0.0);
+      policy.record({state.begin(), state.end()}, 3, action,
+                    action == 0 ? 1.0 : 0.0);
     }
     policy.update();
   }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -217,6 +219,103 @@ TEST(GemmBatch, BatchOfOneEqualsGemvExactly) {
   gemm_batch(w, x, y_batch, rows, cols, 1);
   gemv(w, x, y_ref, rows, cols);
   EXPECT_EQ(y_batch, y_ref);
+}
+
+// --- Bit identity against naive in-test references ---------------------
+//
+// The kernels block rows and lanes into registers for throughput; these
+// references are the plain sequential loops whose rounding they must
+// reproduce exactly.  Floats are compared by bit pattern, so a sum whose
+// order changed fails even where the values happen to be close.
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+std::vector<float> random_floats(std::size_t n, util::Rng& rng) {
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return v;
+}
+
+/// y[r] = ((0 + w[r][0]·x[0]) + w[r][1]·x[1]) + …, read at `x_stride`.
+float sequential_dot(const float* row, const float* x, std::size_t cols,
+                     std::size_t x_stride) {
+  float acc = 0.0f;
+  for (std::size_t c = 0; c < cols; ++c) acc += row[c] * x[c * x_stride];
+  return acc;
+}
+
+// Row counts straddle the 8-row register tile: 1, 7 and a tail of 1 (9,
+// 17) as well as the full-tile 256; column counts include ones that are
+// not a multiple of the 4-column transpose.
+TEST(Gemv, BitIdenticalToSequentialLoop) {
+  util::Rng rng(61);
+  for (const std::size_t rows : {1u, 7u, 9u, 17u, 256u}) {
+    for (const std::size_t cols : {1u, 3u, 13u, 64u, 274u}) {
+      const auto w = random_floats(rows * cols, rng);
+      const auto x = random_floats(cols, rng);
+      std::vector<float> y(rows);
+      gemv(w, x, y, rows, cols);
+      for (std::size_t r = 0; r < rows; ++r)
+        ASSERT_EQ(bits(y[r]),
+                  bits(sequential_dot(w.data() + r * cols, x.data(), cols, 1)))
+            << rows << "x" << cols << " row " << r;
+    }
+  }
+}
+
+// Every lane of every batch size 1…40: full 16-lane blocks, and every
+// remainder width (1…15 lanes, each a partial vector block).  Both builds
+// are checked: gemm_batch (AVX2 where the host has it) and the four-lane
+// baseline every other CPU runs.
+TEST(GemmBatch, EveryLaneBitIdenticalToSequentialLoop) {
+  util::Rng rng(62);
+  const std::size_t shapes[][2] = {{9, 37}, {64, 30}, {1, 64}};
+  for (const auto& shape : shapes) {
+    const std::size_t rows = shape[0], cols = shape[1];
+    const auto w = random_floats(rows * cols, rng);
+    for (std::size_t batch = 1; batch <= 40; ++batch) {
+      const auto xs = random_floats(cols * batch, rng);  // xs[c*batch + b]
+      std::vector<float> ys(rows * batch);
+      std::vector<float> ys_baseline(rows * batch);
+      gemm_batch(w, xs, ys, rows, cols, batch);
+      gemm_batch_baseline(w, xs, ys_baseline, rows, cols, batch);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t b = 0; b < batch; ++b) {
+          const auto expected = bits(sequential_dot(
+              w.data() + r * cols, xs.data() + b, cols, batch));
+          ASSERT_EQ(bits(ys[r * batch + b]), expected)
+              << rows << "x" << cols << " batch " << batch << " row " << r
+              << " lane " << b;
+          ASSERT_EQ(bits(ys_baseline[r * batch + b]), expected)
+              << "baseline " << rows << "x" << cols << " batch " << batch
+              << " row " << r << " lane " << b;
+        }
+      }
+    }
+  }
+}
+
+// The row axpy must equal the column-sum loop it replaced for any
+// target: each column summed over rows from 0, then one add into grad_x.
+TEST(GemvTransposeAcc, BitIdenticalToColumnSums) {
+  util::Rng rng(63);
+  for (const std::size_t rows : {1u, 5u, 64u, 256u}) {
+    for (const std::size_t cols : {1u, 7u, 64u, 130u, 274u}) {
+      const auto w = random_floats(rows * cols, rng);
+      const auto g = random_floats(rows, rng);
+      auto out = random_floats(cols, rng);
+      const auto target = out;
+      gemv_transpose_acc(w, g, out, rows, cols);
+      for (std::size_t c = 0; c < cols; ++c) {
+        float acc = 0.0f;
+        for (std::size_t r = 0; r < rows; ++r) acc += w[r * cols + c] * g[r];
+        float expected = target[c];
+        expected += acc;
+        ASSERT_EQ(bits(out[c]), bits(expected))
+            << rows << "x" << cols << " column " << c;
+      }
+    }
+  }
 }
 
 }  // namespace

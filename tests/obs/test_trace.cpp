@@ -174,7 +174,9 @@ TEST(SimulatorTracing, FullRunEmitsValidChromeTrace) {
     ASSERT_NE(event.find("ph"), nullptr);
     ASSERT_NE(event.find("pid"), nullptr);
     const auto& ph = event.find("ph")->as_string();
-    if (ph != "M") ASSERT_NE(event.find("ts"), nullptr);
+    if (ph != "M") {
+      ASSERT_NE(event.find("ts"), nullptr);
+    }
     const auto& name = event.find("name")->as_string();
     if (name == "scheduling_instance") {
       ++instances;

@@ -61,7 +61,7 @@ RunOutput run_training(core::AgentKind kind, std::size_t workers,
   train::RunOptions run_options;
   std::optional<RolloutPool> pool;
   if (workers != 0) {
-    pool.emplace(RolloutOptions{workers, batch});
+    pool.emplace(RolloutOptions{workers, batch, nullptr, {}});
     run_options.rollout = &*pool;
   }
   RunOutput out;
@@ -90,10 +90,10 @@ void expect_identical(const RunOutput& a, const RunOutput& b) {
 }
 
 TEST(RolloutPoolTest, ResolvesWorkerAndBatchDefaults) {
-  RolloutPool pool(RolloutOptions{4, 0});
+  RolloutPool pool(RolloutOptions{4, 0, nullptr, {}});
   EXPECT_EQ(pool.workers(), 4u);
   EXPECT_EQ(pool.batch(), 4u);  // batch 0 = resolved worker count
-  RolloutPool pinned(RolloutOptions{2, 8});
+  RolloutPool pinned(RolloutOptions{2, 8, nullptr, {}});
   EXPECT_EQ(pinned.workers(), 2u);
   EXPECT_EQ(pinned.batch(), 8u);
 }
@@ -127,7 +127,7 @@ TEST(RolloutPoolTest, WorkerCountNeverChangesResultsDQL) {
 TEST(RolloutPoolTest, RoundResultsComeBackInSlotOrder) {
   core::DrasAgent agent(tiny_agent_config(core::AgentKind::PG));
   const auto jobsets = tiny_jobsets(4);
-  RolloutPool pool(RolloutOptions{2, 4});
+  RolloutPool pool(RolloutOptions{2, 4, nullptr, {}});
   const RoundResult round = pool.collect(agent, kNodes, jobsets, 10);
   ASSERT_EQ(round.episodes.size(), 4u);
   for (std::size_t i = 0; i < round.episodes.size(); ++i) {
@@ -142,7 +142,7 @@ TEST(RolloutPoolTest, RoundResultsComeBackInSlotOrder) {
 TEST(RolloutPoolTest, EmptySlotSpanLeavesAgentUntouched) {
   core::DrasAgent agent(tiny_agent_config(core::AgentKind::PG));
   const std::vector<float> before = params_of(agent);
-  RolloutPool pool(RolloutOptions{2, 4});
+  RolloutPool pool(RolloutOptions{2, 4, nullptr, {}});
   const RoundResult round =
       pool.collect(agent, kNodes, std::span<const train::Jobset>{}, 0);
   EXPECT_TRUE(round.episodes.empty());
@@ -165,7 +165,7 @@ TEST_F(RolloutObsTest, ShardedCountersMergeToSameTotalsAsSerial) {
   const auto jobsets = tiny_jobsets(4);
   const auto measure = [&](std::size_t workers) {
     core::DrasAgent agent(tiny_agent_config(core::AgentKind::PG));
-    RolloutPool pool(RolloutOptions{workers, 4});
+    RolloutPool pool(RolloutOptions{workers, 4, nullptr, {}});
     const std::uint64_t submitted_before = submitted.value();
     const std::uint64_t instances_before = instances.value();
     const std::uint64_t rounds_before = rounds.value();
@@ -210,7 +210,7 @@ TEST_F(RolloutRecoveryTest, GuardedRolloutRecoversFromInjectedFault) {
     recovery_options.max_rollbacks = 3;
     recovery_options.lr_backoff = 0.5;
     robust::RecoveryPolicy recovery(recovery_options, manager);
-    RolloutPool pool(RolloutOptions{workers, 4});
+    RolloutPool pool(RolloutOptions{workers, 4, nullptr, {}});
     train::RunOptions run_options;
     run_options.rollout = &pool;
     run_options.checkpoints = &manager;
@@ -245,7 +245,7 @@ TEST_F(RolloutRecoveryTest, GuardedRolloutRecoversFromInjectedFault) {
 TEST_F(RolloutRecoveryTest, ResumeAtRoundBoundaryIsBitIdentical) {
   constexpr std::size_t kBatch = 2;
   const auto make_pool = [] {
-    return RolloutPool(RolloutOptions{2, kBatch});
+    return RolloutPool(RolloutOptions{2, kBatch, nullptr, {}});
   };
 
   // Uninterrupted reference run.

@@ -216,6 +216,41 @@ TEST_F(DecisionServiceTest, InstallNullptrThrows) {
   EXPECT_THROW(service.install(nullptr), std::invalid_argument);
 }
 
+// A worker must pick up every install(), also when the new snapshot sits
+// at the address of an earlier one that has since been freed: snapshots
+// are all one size, so the allocator tends to hand that address out again.
+TEST_F(DecisionServiceTest, EveryInstallReachesTheWorkerAfterAddressReuse) {
+  const auto config = tiny_serve_config(core::AgentKind::PG);
+  core::DrasAgent agent(config);
+  std::vector<std::filesystem::path> paths;
+  for (std::size_t e = 1; e <= 3; ++e) {
+    perturb_parameters(agent, /*seed=*/2000 + e);
+    paths.push_back(write_snapshot(dir_, agent, e));
+  }
+  DecisionService service({.policy = {.max_batch = 8}, .workers = 1});
+  util::Rng rng(31);
+  const auto serve_and_check = [&](const ModelSnapshot& snapshot) {
+    const auto replica = snapshot.make_replica();
+    for (int i = 0; i < 32; ++i) {
+      const DecisionRequest request = make_synthetic_request(config, rng);
+      const Decision decision = service.submit(request).get();
+      ASSERT_EQ(decision.model_version, snapshot.version());
+      ASSERT_EQ(decision.job_index, reference_decision(*replica, request))
+          << "version " << snapshot.version() << ", request " << i;
+    }
+  };
+  for (int round = 0; round < 16; ++round) {
+    auto first = ModelSnapshot::load(paths[0], config);
+    service.install(first);
+    serve_and_check(*first);  // the worker now holds a replica of `first`
+    service.install(ModelSnapshot::load(paths[1], config));
+    first.reset();  // its address is free again
+    const auto third = ModelSnapshot::load(paths[2], config);
+    service.install(third);
+    serve_and_check(*third);
+  }
+}
+
 // Satellite: N client threads × M snapshot versions under live swaps.
 // Zero failed requests; every response attributable to exactly one
 // installed snapshot version — verified by replaying each request

@@ -233,7 +233,9 @@ TEST_F(FairnessResumeTest, CrashResumeReproducesFairnessRunBitForBit) {
     state.curriculum = &curriculum;
     ASSERT_TRUE(manager.restore_latest(state).has_value());
     ASSERT_EQ(trainer.episodes_done(), 2u);
-    (void)trainer.run(curriculum, RunOptions{.checkpoints = &manager});
+    RunOptions resume_options;
+    resume_options.checkpoints = &manager;
+    (void)trainer.run(curriculum, resume_options);
 
     const auto resumed = params_of(agent);
     ASSERT_EQ(resumed.size(), reference.size());

@@ -99,7 +99,7 @@ TEST(BinaryReaderErrors, TruncatedScalar) {
   out.u32(1);
   const std::string bytes = out.buffer().substr(0, 2);
   BinaryReader in(bytes);
-  EXPECT_THROW(in.u32(), SerializationError);
+  EXPECT_THROW((void)in.u32(), SerializationError);
 }
 
 TEST(BinaryReaderErrors, TruncatedAtEveryPrefix) {
