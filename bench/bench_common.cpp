@@ -118,15 +118,8 @@ MethodSet::MethodSet(const Scenario& scenario) {
       util::derive_seed(scenario.seed, "random-policy"));
   optimization_ = std::make_unique<sched::KnapsackOpt>(scenario.reward());
 
-  sched::DecimaConfig decima_cfg;
-  decima_cfg.total_nodes = scenario.preset.nodes;
-  decima_cfg.window = scenario.preset.window;
-  decima_cfg.fc1 = scenario.preset.fc1;
-  decima_cfg.fc2 = scenario.preset.fc2;
-  decima_cfg.time_scale = scenario.preset.max_walltime;
-  decima_cfg.reward_kind = scenario.preset.reward;
-  decima_cfg.seed = util::derive_seed(scenario.seed, "decima");
-  decima_ = std::make_unique<sched::DecimaPG>(decima_cfg);
+  decima_ = std::make_unique<sched::DecimaPG>(scenario.preset.agent_config(
+      core::AgentKind::PG, util::derive_seed(scenario.seed, "decima")));
 
   dras_pg_ = std::make_unique<core::DrasAgent>(scenario.preset.agent_config(
       core::AgentKind::PG, util::derive_seed(scenario.seed, "dras-pg")));
@@ -159,21 +152,16 @@ void train_dras_agent(core::DrasAgent& agent, const Scenario& scenario,
                       rollout::RolloutPool* rollout,
                       obs::RunRecorder* recorder,
                       const sim::FaultConfig* faults) {
-  auto jobsets = build_bench_curriculum(scenario, episodes,
-                                        jobs_per_episode, curriculum_seed);
+  train::Curriculum curriculum(build_bench_curriculum(
+      scenario, episodes, jobs_per_episode, curriculum_seed));
   train::TrainerOptions trainer_options;
   trainer_options.validate_each_episode = false;
   if (faults != nullptr) trainer_options.faults = *faults;
   train::Trainer trainer(agent, scenario.preset.nodes, {}, trainer_options);
-  if (rollout != nullptr || recorder != nullptr) {
-    train::Curriculum curriculum(std::move(jobsets));
-    train::RunOptions run_options;
-    run_options.rollout = rollout;
-    run_options.run = recorder;
-    (void)trainer.run(curriculum, run_options);
-  } else {
-    (void)trainer.run(jobsets);
-  }
+  train::RunOptions run_options;
+  run_options.rollout = rollout;
+  run_options.run = recorder;
+  (void)trainer.run(curriculum, run_options);
   agent.set_training(false);
 }
 
@@ -201,18 +189,19 @@ std::filesystem::path save_warm_start(const std::filesystem::path& dir,
 
 void MethodSet::train_agents(const Scenario& scenario, std::size_t episodes,
                              std::size_t jobs_per_episode) {
-  const auto curriculum =
-      build_bench_curriculum(scenario, episodes, jobs_per_episode, 0);
+  train::Curriculum curriculum(
+      build_bench_curriculum(scenario, episodes, jobs_per_episode, 0));
   train::TrainerOptions trainer_options;
   trainer_options.validate_each_episode = false;
   for (core::DrasAgent* agent : {dras_pg_.get(), dras_dql_.get()}) {
     train::Trainer trainer(*agent, scenario.preset.nodes, {},
                            trainer_options);
-    (void)trainer.run(curriculum);
+    curriculum.seek(0);
+    (void)trainer.run(curriculum, {});
     agent->set_training(false);
   }
   // Decima-PG trains on the same jobsets.
-  for (const auto& jobset : curriculum) {
+  for (const auto& jobset : curriculum.jobsets()) {
     sim::Simulator simulator(scenario.preset.nodes);
     (void)simulator.run(jobset.trace, *decima_);
   }

@@ -43,8 +43,8 @@ int main() {
   curriculum_options.synthetic_sets = 8;
   curriculum_options.jobs_per_set = 400;
   curriculum_options.seed = 11;
-  const auto curriculum = dras::train::build_curriculum(
-      model, real_trace, curriculum_options);
+  dras::train::Curriculum curriculum(dras::train::build_curriculum(
+      model, real_trace, curriculum_options));
   std::cout << format("curriculum: {} jobsets (sampled -> real -> "
                       "synthetic)\n", curriculum.size());
 
@@ -57,7 +57,8 @@ int main() {
   trainer_options.validate_each_episode = false;
   for (auto* agent : {&dras_pg, &dras_dql}) {
     dras::train::Trainer trainer(*agent, system.nodes, {}, trainer_options);
-    (void)trainer.run(curriculum);
+    curriculum.seek(0);
+    (void)trainer.run(curriculum, {});
     agent->set_training(false);
   }
 
@@ -66,15 +67,9 @@ int main() {
   dras::sched::BinPacking bin_packing;
   dras::sched::RandomPolicy random(3);
   dras::sched::KnapsackOpt optimization(reward);
-  dras::sched::DecimaConfig decima_cfg;
-  decima_cfg.total_nodes = system.nodes;
-  decima_cfg.window = system.window;
-  decima_cfg.fc1 = system.fc1;
-  decima_cfg.fc2 = system.fc2;
-  decima_cfg.time_scale = system.max_walltime;
-  decima_cfg.seed = 4;
-  dras::sched::DecimaPG decima(decima_cfg);
-  for (const auto& jobset : curriculum) {
+  dras::sched::DecimaPG decima(
+      system.agent_config(dras::core::AgentKind::PG, 4));
+  for (const auto& jobset : curriculum.jobsets()) {
     dras::sim::Simulator sim(system.nodes);
     (void)sim.run(jobset.trace, decima);
   }

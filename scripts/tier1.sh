@@ -3,10 +3,10 @@
 #
 #   1. Release build + full test suite (the ROADMAP.md tier-1 line).
 #   2. ASan+UBSan build (DRAS_SANITIZE=ON) running the telemetry,
-#      simulator, parallel-execution and nn-kernel/DQL tests — the
-#      subsystems with lock-free concurrency, thread pools, raw-fd I/O
-#      and vector loads over padded lanes, where sanitizers earn their
-#      keep.
+#      simulator, parallel-execution, nn-kernel/DQL, policy-head and
+#      serving-head tests — the subsystems with lock-free concurrency,
+#      thread pools, raw-fd I/O and vector loads over padded lanes,
+#      where sanitizers earn their keep.
 #
 # Usage: scripts/tier1.sh [--skip-asan]
 set -euo pipefail
@@ -25,10 +25,10 @@ if [[ "$skip_asan" == 1 ]]; then
   exit 0
 fi
 
-echo "=== tier-1: ASan+UBSan build + obs/sim/exec/nn tests ==="
+echo "=== tier-1: ASan+UBSan build + obs/sim/exec/nn/head tests ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DDRAS_SANITIZE=ON
 cmake --build build-asan -j "$(nproc)" --target dras_tests
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'Obs|EventTracer|DefaultTracer|Sink|Simulator|Json|ThreadPool|Parallel|Clone|TaskSeed|Wire|Socket|NetServer|NetClient|Chaos|Gemv|GemmBatch|Network|DQLPolicy'
+  -R 'Obs|EventTracer|DefaultTracer|Sink|Simulator|Json|ThreadPool|Parallel|Clone|TaskSeed|Wire|Socket|NetServer|NetClient|Chaos|Gemv|GemmBatch|Network|DQLPolicy|PolicyHead|PGPolicy\.Greedy|DecisionServiceTest'
 
 echo "=== tier-1: all green ==="

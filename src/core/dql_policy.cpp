@@ -2,38 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
-#include "obs/metrics.h"
-#include "obs/span.h"
 #include "util/binio.h"
 
 namespace dras::core {
 
 namespace {
-/// Wall time of one policy update (TD pass + Adam step, or gradient
-/// deposit in deferred mode).  Shared name with PGPolicy: a run trains
-/// one policy kind, and the span/metric describes "the NN update".
-obs::HdrHistogram& update_us_hdr() {
-  static obs::HdrHistogram& hdr = obs::Registry::global().hdr("nn.update_us");
-  return hdr;
+const nn::NetworkConfig& single_output(const nn::NetworkConfig& net) {
+  if (net.outputs != 1)
+    throw std::invalid_argument("DQL network must have one output");
+  return net;
 }
 }  // namespace
 
 DQLPolicy::DQLPolicy(const DQLConfig& config, std::uint64_t seed)
-    : config_(config),
-      network_([&] {
-        if (config.net.outputs != 1)
-          throw std::invalid_argument("DQL network must have one output");
-        util::Rng init_rng(util::derive_seed(seed, "dql-init"));
-        return nn::Network(config.net, init_rng);
-      }()),
-      optimizer_(network_.parameter_count(), config.adam),
+    : PolicyHead(single_output(config.net), config.adam, seed, "dql-init"),
+      config_(config),
       epsilon_(config.epsilon_init) {}
 
 double DQLPolicy::q_value(std::span<const float> state) {
-  return static_cast<double>(network_.forward(state)[0]);
+  return static_cast<double>(network().forward(state)[0]);
 }
 
 std::size_t DQLPolicy::greedy_index(std::span<const float> q) {
@@ -64,9 +53,9 @@ std::span<const float> DQLPolicy::score_rows(std::size_t n, bool retain) {
                           .first(n * config_.net.input_size());
   batch_q_.resize(n);
   if (retain)
-    network_.forward_batch_retained(inputs, n, batch_q_);
+    network().forward_batch_retained(inputs, n, batch_q_);
   else
-    network_.forward_batch(inputs, n, batch_q_);
+    network().forward_batch(inputs, n, batch_q_);
   return batch_q_;
 }
 
@@ -91,9 +80,7 @@ void DQLPolicy::record(std::vector<std::vector<float>> candidates,
 void DQLPolicy::update() {
   if (memory_.empty()) return;
   const std::size_t steps = memory_.size();
-  obs::Span update_span(
-      "nn.update", {obs::targ("steps", static_cast<std::uint64_t>(steps))},
-      &update_us_hdr());
+  const obs::Span span = update_span(steps);
 
   // Bootstrap targets first (they query the network with current θ), one
   // batched forward per next-state window.
@@ -116,7 +103,8 @@ void DQLPolicy::update() {
   // at most kTdChunk (so scratch never scales with the memory), and each
   // sample is staged for its backward in transition order.
   constexpr std::size_t kTdChunk = 16;
-  network_.zero_gradients();
+  nn::Network& net = network();
+  net.zero_gradients();
   float td_error_grad[1];
   double loss_acc = 0.0;
   for (std::size_t k0 = 0; k0 < steps; k0 += kTdChunk) {
@@ -131,63 +119,24 @@ void DQLPolicy::update() {
       const double td_error = static_cast<double>(q[j]) - targets[k0 + j];
       loss_acc += 0.5 * td_error * td_error;
       td_error_grad[0] = static_cast<float>(td_error);
-      network_.stage_batch_sample(j);
-      network_.backward(std::span<const float>(td_error_grad, 1));
+      net.stage_batch_sample(j);
+      net.backward(std::span<const float>(td_error_grad, 1));
     }
   }
-  const auto scale = 1.0f / static_cast<float>(steps);
-  for (float& g : network_.gradients()) g *= scale;
-  double grad_sq = 0.0;
-  for (const float g : network_.gradients())
-    grad_sq += static_cast<double>(g) * static_cast<double>(g);
-  last_loss_ = loss_acc / static_cast<double>(steps);
-  last_grad_norm_ = std::sqrt(grad_sq);
-  if (sink_ != nullptr) {
-    // Deferred mode (data-parallel rollout): deposit the batch-mean
-    // gradient for the round's reduction; parameters stay frozen at
-    // their round-start values.  ε still decays — the schedule is per
-    // update consumed, and it steers the clone's own exploration.
-    sink_->add(network_.gradients(), last_loss_);
-  } else {
-    optimizer_.step(network_.parameters(), network_.gradients());
-  }
-  network_.zero_gradients();
+  close_update(steps, loss_acc);
   memory_.clear();
-
-  epsilon_ = std::max(config_.epsilon_min, epsilon_ * config_.epsilon_decay);
-  ++updates_;
 }
 
-void DQLPolicy::apply_reduced_update(std::span<const float> gradient,
-                                     double mean_loss,
-                                     std::size_t update_count) {
-  if (update_count == 0) return;
-  const auto grads = network_.gradients();
-  if (gradient.size() != grads.size())
-    throw std::invalid_argument(
-        "DQLPolicy::apply_reduced_update: gradient length mismatch");
-  std::copy(gradient.begin(), gradient.end(), grads.begin());
-  double grad_sq = 0.0;
-  for (const float g : grads)
-    grad_sq += static_cast<double>(g) * static_cast<double>(g);
-  last_loss_ = mean_loss;
-  last_grad_norm_ = std::sqrt(grad_sq);
-  optimizer_.step(network_.parameters(), grads);
-  network_.zero_gradients();
-  for (std::size_t k = 0; k < update_count; ++k)
-    epsilon_ =
-        std::max(config_.epsilon_min, epsilon_ * config_.epsilon_decay);
-  updates_ += update_count;
+void DQLPolicy::on_update_consumed() {
+  epsilon_ = std::max(config_.epsilon_min, epsilon_ * config_.epsilon_decay);
 }
 
 void DQLPolicy::save_state(util::BinaryWriter& out) const {
   out.section("DQLP", 1);
-  network_.save_state(out);
-  optimizer_.save_state(out);
+  network().save_state(out);
+  optimizer().save_state(out);
   out.f64(epsilon_);
-  out.u64(updates_);
-  out.f64(last_loss_);
-  out.f64(last_grad_norm_);
+  save_telemetry(out);
   out.u64(memory_.size());
   for (const Transition& tr : memory_) {
     out.u64(tr.candidates.size());
@@ -199,15 +148,13 @@ void DQLPolicy::save_state(util::BinaryWriter& out) const {
 
 void DQLPolicy::load_state(util::BinaryReader& in) {
   in.section("DQLP", 1);
-  network_.load_state(in);
-  optimizer_.load_state(in);
+  network().load_state(in);
+  optimizer().load_state(in);
   epsilon_ = in.f64();
   if (!(epsilon_ >= 0.0 && epsilon_ <= 1.0))
     throw util::SerializationError(
         "DQL epsilon outside [0, 1] in checkpoint");
-  updates_ = in.u64();
-  last_loss_ = in.f64();
-  last_grad_norm_ = in.f64();
+  load_telemetry(in);
   memory_.clear();
   const std::uint64_t transitions = in.u64();
   memory_.reserve(transitions);

@@ -19,9 +19,7 @@
 #include <span>
 #include <vector>
 
-#include "nn/adam.h"
-#include "nn/grad_accumulator.h"
-#include "nn/network.h"
+#include "core/policy_head.h"
 #include "util/rng.h"
 
 namespace dras::core {
@@ -35,7 +33,7 @@ struct DQLConfig {
   double epsilon_min = 0.01;
 };
 
-class DQLPolicy {
+class DQLPolicy final : public PolicyHead {
  public:
   DQLPolicy(const DQLConfig& config, std::uint64_t seed);
 
@@ -60,62 +58,29 @@ class DQLPolicy {
               double reward);
 
   /// Eq. 4 semi-gradient update over the recorded transitions; clears the
-  /// memory and decays ε.  No-op when the memory is empty.  Each
-  /// next-state window is scored by one batched forward, and the chosen
-  /// states' forwards run in retained batches of at most 16 whose samples
-  /// are staged for backward in transition order — bit-identical to one
-  /// forward/backward per transition.
-  void update();
+  /// memory and decays ε.  No-op when the memory is empty.  The loss is
+  /// the mean TD loss ½(Q − target)².  Each next-state window is scored
+  /// by one batched forward, and the chosen states' forwards run in
+  /// retained batches of at most 16 whose samples are staged for backward
+  /// in transition order — bit-identical to one forward/backward per
+  /// transition.
+  void update() override;
 
+  /// ε decays once per update consumed — in place, deferred into a
+  /// gradient sink (it steers the clone's own later exploration) or
+  /// stood in for by apply_reduced_update — not per optimiser step.
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
   [[nodiscard]] std::size_t pending_steps() const noexcept {
     return memory_.size();
   }
-  [[nodiscard]] std::size_t updates_done() const noexcept { return updates_; }
-  /// Mean TD loss ½(Q − target)² of the last update; 0 before the first.
-  [[nodiscard]] double last_loss() const noexcept { return last_loss_; }
-  /// L2 norm of the batch-averaged gradient applied by the last update.
-  [[nodiscard]] double last_grad_norm() const noexcept {
-    return last_grad_norm_;
-  }
-  [[nodiscard]] nn::Network& network() noexcept { return network_; }
-  [[nodiscard]] const nn::Network& network() const noexcept {
-    return network_;
-  }
-  [[nodiscard]] nn::Adam& optimizer() noexcept { return optimizer_; }
-  [[nodiscard]] const nn::Adam& optimizer() const noexcept {
-    return optimizer_;
-  }
 
   void discard_memory() { memory_.clear(); }
-
-  // --- Data-parallel rollout hooks (src/rollout) ---
-
-  /// Divert updates into `sink`: update() computes the batch-mean TD
-  /// gradient and telemetry exactly as usual — including the per-update
-  /// ε decay, which drives the clone's own later exploration — but
-  /// deposits the gradient instead of stepping the optimiser.  Null
-  /// restores normal stepping.  Not owned, never serialized.
-  void set_gradient_sink(nn::GradientAccumulator* sink) noexcept {
-    sink_ = sink;
-  }
-  [[nodiscard]] nn::GradientAccumulator* gradient_sink() const noexcept {
-    return sink_;
-  }
-
-  /// One optimiser step with an externally reduced mean gradient
-  /// standing in for `update_count` deferred updates: ε decays once per
-  /// deferred update (the schedule is per update consumed, not per
-  /// optimiser step) and the update counter advances accordingly.
-  /// No-op when update_count is 0.
-  void apply_reduced_update(std::span<const float> gradient,
-                            double mean_loss, std::size_t update_count);
 
   /// Checkpoint hooks ("DQLP" section): network parameters, optimiser
   /// moments, the ε schedule position, update telemetry and any pending
   /// transitions.  A restored policy continues bit-identically.
-  void save_state(util::BinaryWriter& out) const;
-  void load_state(util::BinaryReader& in);
+  void save_state(util::BinaryWriter& out) const override;
+  void load_state(util::BinaryReader& in) override;
 
  private:
   struct Transition {
@@ -124,6 +89,8 @@ class DQLPolicy {
     double reward = 0.0;
   };
 
+  void on_update_consumed() override;
+
   /// Copy `state` into row `i` of batch_inputs_, growing it as needed.
   void load_row(std::size_t i, const std::vector<float>& state);
   /// Q of the first `n` rows of batch_inputs_ via one batched forward
@@ -131,14 +98,8 @@ class DQLPolicy {
   std::span<const float> score_rows(std::size_t n, bool retain);
 
   DQLConfig config_;
-  nn::Network network_;
-  nn::Adam optimizer_;
   std::vector<Transition> memory_;
   double epsilon_;
-  std::size_t updates_ = 0;
-  double last_loss_ = 0.0;
-  double last_grad_norm_ = 0.0;
-  nn::GradientAccumulator* sink_ = nullptr;  // transient, never serialized
   // Batched-forward scratch, grown on demand to one window or one TD
   // chunk; transient, never serialized.
   std::vector<float> batch_inputs_;

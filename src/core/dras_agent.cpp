@@ -17,18 +17,15 @@ std::string_view to_string(AgentKind kind) noexcept {
 }
 
 nn::NetworkConfig DrasConfig::network_config() const {
+  // PG scores the whole W-job window at once, DQL one job at a time.
+  const std::size_t jobs = kind == AgentKind::PG ? window : 1;
   nn::NetworkConfig net;
+  net.input_rows = StateEncoder::input_rows(jobs, total_nodes,
+                                            failure_features,
+                                            fairness_features);
   net.fc1 = fc1;
   net.fc2 = fc2;
-  if (kind == AgentKind::PG) {
-    net.input_rows = 2 * window + static_cast<std::size_t>(total_nodes);
-    net.outputs = window;
-  } else {
-    net.input_rows = 2 + static_cast<std::size_t>(total_nodes);
-    net.outputs = 1;
-  }
-  if (failure_features) net.input_rows += StateEncoder::kFailureRows;
-  if (fairness_features) net.input_rows += StateEncoder::kFairnessRows;
+  net.outputs = jobs;
   return net;
 }
 
@@ -44,19 +41,12 @@ DrasAgent::DrasAgent(const DrasConfig& config)
   if (config.window == 0)
     throw std::invalid_argument("agent needs a non-empty window");
   if (config.kind == AgentKind::PG) {
-    PGConfig pg_cfg;
-    pg_cfg.net = config.network_config();
-    pg_cfg.adam = config.adam;
-    pg_.emplace(pg_cfg, config.seed);
+    pg_.emplace(PGConfig{config.network_config(), config.adam}, config.seed);
   } else {
-    DQLConfig dql_cfg;
-    dql_cfg.net = config.network_config();
-    dql_cfg.adam = config.adam;
-    dql_cfg.gamma = config.gamma;
-    dql_cfg.epsilon_init = config.epsilon_init;
-    dql_cfg.epsilon_decay = config.epsilon_decay;
-    dql_cfg.epsilon_min = config.epsilon_min;
-    dql_.emplace(dql_cfg, config.seed);
+    dql_.emplace(DQLConfig{config.network_config(), config.adam,
+                           config.gamma, config.epsilon_init,
+                           config.epsilon_decay, config.epsilon_min},
+                 config.seed);
   }
 }
 
@@ -142,8 +132,7 @@ void DrasAgent::save_state(util::BinaryWriter& out) const {
   out.section("AGNT", 1);
   out.u8(config_.kind == AgentKind::PG ? 0 : 1);
   out.u64(config_fingerprint(config_));
-  if (pg_) pg_->save_state(out);
-  if (dql_) dql_->save_state(out);
+  head().save_state(out);
   for (const std::uint64_t word : rng_.state()) out.u64(word);
   out.boolean(training_);
   out.f64(episode_reward_);
@@ -195,8 +184,7 @@ void DrasAgent::load_state(util::BinaryReader& in, bool relaxed) {
         config_.fc1, config_.fc2, config_.time_scale,
         to_string(config_.reward_kind), config_.seed);
   }
-  if (pg_) pg_->load_state(in);
-  if (dql_) dql_->load_state(in);
+  head().load_state(in);
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = in.u64();
   rng_.set_state(rng_state);
@@ -220,13 +208,6 @@ void DrasAgent::load_state(util::BinaryReader& in, bool relaxed) {
   }
 }
 
-nn::Network& DrasAgent::network() {
-  return pg_ ? pg_->network() : dql_->network();
-}
-const nn::Network& DrasAgent::network() const {
-  return pg_ ? pg_->network() : dql_->network();
-}
-
 void DrasAgent::begin_episode() {
   episode_reward_ = 0.0;
   episode_actions_ = 0;
@@ -246,10 +227,7 @@ void DrasAgent::begin_episode() {
 
 void DrasAgent::end_episode() {
   // Flush a partial batch so no experience leaks across episodes.
-  if (training_) {
-    if (pg_) pg_->update();
-    if (dql_) dql_->update();
-  }
+  if (training_) head().update();
 }
 
 std::size_t DrasAgent::select(const sim::SchedulingContext& ctx,
@@ -310,8 +288,7 @@ void DrasAgent::maybe_update() {
   if (!training_) return;
   if (instances_seen_ % static_cast<std::size_t>(config_.update_every) != 0)
     return;
-  if (pg_) pg_->update();
-  if (dql_) dql_->update();
+  head().update();
 }
 
 void DrasAgent::schedule(sim::SchedulingContext& ctx) {

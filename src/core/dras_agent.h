@@ -104,15 +104,15 @@ class DrasAgent final : public sim::Scheduler {
   // --- Training telemetry (kind-agnostic views over the policy head) ---
   /// Loss of the most recent parameter update (0 before the first).
   [[nodiscard]] double last_update_loss() const noexcept {
-    return pg_ ? pg_->last_loss() : dql_->last_loss();
+    return head().last_loss();
   }
   /// Gradient L2 norm of the most recent parameter update.
   [[nodiscard]] double last_update_grad_norm() const noexcept {
-    return pg_ ? pg_->last_grad_norm() : dql_->last_grad_norm();
+    return head().last_grad_norm();
   }
   /// Parameter updates performed so far.
   [[nodiscard]] std::size_t updates_done() const noexcept {
-    return pg_ ? pg_->updates_done() : dql_->updates_done();
+    return head().updates_done();
   }
   /// Current exploration rate; 0 for PG (which explores by sampling).
   [[nodiscard]] double epsilon() const noexcept {
@@ -135,14 +135,14 @@ class DrasAgent final : public sim::Scheduler {
   void load_state(util::BinaryReader& in, bool relaxed = false);
 
   [[nodiscard]] const DrasConfig& config() const noexcept { return config_; }
-  [[nodiscard]] nn::Network& network();
-  [[nodiscard]] const nn::Network& network() const;
-  /// The active policy head's Adam optimiser (LR backoff lives here).
-  [[nodiscard]] nn::Adam& optimizer() noexcept {
-    return pg_ ? pg_->optimizer() : dql_->optimizer();
+  [[nodiscard]] nn::Network& network() noexcept { return head().network(); }
+  [[nodiscard]] const nn::Network& network() const noexcept {
+    return head().network();
   }
+  /// The active policy head's Adam optimiser (LR backoff lives here).
+  [[nodiscard]] nn::Adam& optimizer() noexcept { return head().optimizer(); }
   [[nodiscard]] const nn::Adam& optimizer() const noexcept {
-    return pg_ ? pg_->optimizer() : dql_->optimizer();
+    return head().optimizer();
   }
   /// Non-null exactly when kind == PG / DQL respectively.
   [[nodiscard]] PGPolicy* pg() noexcept { return pg_ ? &*pg_ : nullptr; }
@@ -165,23 +165,21 @@ class DrasAgent final : public sim::Scheduler {
 
   // --- Data-parallel rollout hooks (src/rollout) ---
 
-  /// Divert policy updates into `sink` (see the policy heads): the
-  /// rollout pool arms each clone with a per-slot accumulator so its
+  /// Divert policy updates into `sink` (PolicyHead::set_gradient_sink):
+  /// the rollout pool arms each clone with a per-slot accumulator so its
   /// episode leaves the parameters untouched.  Null restores normal
   /// in-place optimisation.  Not owned, never serialized or cloned as
   /// an armed pointer (the original is always unarmed when cloned).
   void set_gradient_sink(nn::GradientAccumulator* sink) noexcept {
-    if (pg_) pg_->set_gradient_sink(sink);
-    if (dql_) dql_->set_gradient_sink(sink);
+    head().set_gradient_sink(sink);
   }
 
   /// One optimiser step with the round's reduced mean gradient standing
-  /// in for `update_count` deferred clone updates (forwards to the
-  /// active policy head).  No-op when update_count is 0.
+  /// in for `update_count` deferred clone updates
+  /// (PolicyHead::apply_reduced_update).  No-op when update_count is 0.
   void apply_reduced_update(std::span<const float> gradient,
                             double mean_loss, std::size_t update_count) {
-    if (pg_) pg_->apply_reduced_update(gradient, mean_loss, update_count);
-    if (dql_) dql_->apply_reduced_update(gradient, mean_loss, update_count);
+    head().apply_reduced_update(gradient, mean_loss, update_count);
   }
 
   /// Scheduling instances consumed so far (the `update_every` cadence
@@ -217,6 +215,13 @@ class DrasAgent final : public sim::Scheduler {
   /// Drop a staged experience whose action turned out to be illegal.
   void discard_staged() noexcept { staged_ = false; }
   void maybe_update();
+  /// The active policy head: everything both kinds share goes through it.
+  [[nodiscard]] PolicyHead& head() noexcept {
+    return pg_ ? static_cast<PolicyHead&>(*pg_) : *dql_;
+  }
+  [[nodiscard]] const PolicyHead& head() const noexcept {
+    return pg_ ? static_cast<const PolicyHead&>(*pg_) : *dql_;
+  }
 
   DrasConfig config_;
   std::string name_;

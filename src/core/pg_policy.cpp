@@ -6,39 +6,28 @@
 #include <stdexcept>
 
 #include "nn/ops.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
 #include "util/binio.h"
 
 namespace dras::core {
 
-namespace {
-/// Wall time of one policy update (batch REINFORCE pass + Adam step,
-/// or gradient deposit in deferred mode).
-obs::HdrHistogram& update_us_hdr() {
-  static obs::HdrHistogram& hdr = obs::Registry::global().hdr("nn.update_us");
-  return hdr;
-}
-}  // namespace
-
 PGPolicy::PGPolicy(const PGConfig& config, std::uint64_t seed)
-    : config_(config),
-      network_([&] {
-        util::Rng init_rng(util::derive_seed(seed, "pg-init"));
-        return nn::Network(config.net, init_rng);
-      }()),
-      optimizer_(network_.parameter_count(), config.adam) {
+    : PolicyHead(config.net, config.adam, seed, "pg-init"), config_(config) {
   probs_scratch_.resize(config_.net.outputs);
+}
+
+std::span<const float> PGPolicy::forward_checked(
+    std::span<const float> state, std::size_t valid) {
+  if (valid == 0 || valid > config_.net.outputs)
+    throw std::invalid_argument("invalid action count");
+  return network().forward(state);
 }
 
 void PGPolicy::action_probabilities(std::span<const float> state,
                                     std::size_t valid,
                                     std::vector<float>& probs) {
-  if (valid == 0 || valid > config_.net.outputs)
-    throw std::invalid_argument("invalid action count");
-  const auto logits = network_.forward(state);
-  probs.resize(logits.size());
-  nn::softmax_masked(logits, probs, valid);
+  const auto row = forward_checked(state, valid);
+  probs.resize(row.size());
+  nn::softmax_masked(row, probs, valid);
 }
 
 std::size_t PGPolicy::sample_action(std::span<const float> state,
@@ -53,12 +42,18 @@ std::size_t PGPolicy::sample_action(std::span<const float> state,
 
 std::size_t PGPolicy::greedy_action(std::span<const float> state,
                                     std::size_t valid) {
-  action_probabilities(state, valid, probs_scratch_);
+  return greedy_index(forward_checked(state, valid), valid, probs_scratch_);
+}
+
+std::size_t PGPolicy::greedy_index(std::span<const float> logits,
+                                   std::size_t valid,
+                                   std::vector<float>& probs) {
+  probs.resize(logits.size());
+  nn::softmax_masked(logits, probs, valid);
   return static_cast<std::size_t>(
-      std::max_element(probs_scratch_.begin(),
-                       probs_scratch_.begin() +
-                           static_cast<std::ptrdiff_t>(valid)) -
-      probs_scratch_.begin());
+      std::max_element(probs.begin(),
+                       probs.begin() + static_cast<std::ptrdiff_t>(valid)) -
+      probs.begin());
 }
 
 void PGPolicy::record(std::vector<float> state, std::size_t valid,
@@ -70,9 +65,7 @@ void PGPolicy::record(std::vector<float> state, std::size_t valid,
 void PGPolicy::update() {
   if (memory_.empty()) return;
   const std::size_t k_total = memory_.size();
-  obs::Span update_span(
-      "nn.update", {obs::targ("steps", static_cast<std::uint64_t>(k_total))},
-      &update_us_hdr());
+  const obs::Span span = update_span(k_total);
 
   // Returns-to-go: G_k = sum_{k' >= k} r_{k'} (Eq. 3, undiscounted).
   std::vector<double> returns(k_total);
@@ -103,9 +96,10 @@ void PGPolicy::update() {
                   static_cast<std::ptrdiff_t>(k * input_size));
   }
   batch_logits_.resize(k_total * outputs);
-  network_.forward_batch_retained(batch_states_, k_total, batch_logits_);
+  nn::Network& net = network();
+  net.forward_batch_retained(batch_states_, k_total, batch_logits_);
 
-  network_.zero_gradients();
+  net.zero_gradients();
   std::vector<float> grad_logits(config_.net.outputs);
   double loss_acc = 0.0;
   for (std::size_t k = 0; k < k_total; ++k) {
@@ -131,49 +125,11 @@ void PGPolicy::update() {
     for (std::size_t i = 0; i < grad_logits.size(); ++i)
       grad_logits[i] = probs_scratch_[i] * adv;
     grad_logits[step.action] -= adv;
-    network_.stage_batch_sample(k);
-    network_.backward(grad_logits);
+    net.stage_batch_sample(k);
+    net.backward(grad_logits);
   }
-
-  // Average over the batch, matching the 1/K-free form of Eq. 3 loosely but
-  // keeping step magnitude independent of batch length.
-  const auto scale = 1.0f / static_cast<float>(k_total);
-  for (float& g : network_.gradients()) g *= scale;
-  double grad_sq = 0.0;
-  for (const float g : network_.gradients())
-    grad_sq += static_cast<double>(g) * static_cast<double>(g);
-  last_loss_ = loss_acc / static_cast<double>(k_total);
-  last_grad_norm_ = std::sqrt(grad_sq);
-  if (sink_ != nullptr) {
-    // Deferred mode (data-parallel rollout): deposit the batch-mean
-    // gradient for the round's reduction; parameters stay frozen at
-    // their round-start values.
-    sink_->add(network_.gradients(), last_loss_);
-  } else {
-    optimizer_.step(network_.parameters(), network_.gradients());
-  }
-  network_.zero_gradients();
+  close_update(k_total, loss_acc);
   memory_.clear();
-  ++updates_;
-}
-
-void PGPolicy::apply_reduced_update(std::span<const float> gradient,
-                                    double mean_loss,
-                                    std::size_t update_count) {
-  if (update_count == 0) return;
-  const auto grads = network_.gradients();
-  if (gradient.size() != grads.size())
-    throw std::invalid_argument(
-        "PGPolicy::apply_reduced_update: gradient length mismatch");
-  std::copy(gradient.begin(), gradient.end(), grads.begin());
-  double grad_sq = 0.0;
-  for (const float g : grads)
-    grad_sq += static_cast<double>(g) * static_cast<double>(g);
-  last_loss_ = mean_loss;
-  last_grad_norm_ = std::sqrt(grad_sq);
-  optimizer_.step(network_.parameters(), grads);
-  network_.zero_gradients();
-  updates_ += update_count;
 }
 
 void PGPolicy::merge_baseline_delta(const BaselineSnapshot& base,
@@ -193,15 +149,13 @@ void PGPolicy::merge_baseline_delta(const BaselineSnapshot& base,
 
 void PGPolicy::save_state(util::BinaryWriter& out) const {
   out.section("PGPO", 1);
-  network_.save_state(out);
-  optimizer_.save_state(out);
+  network().save_state(out);
+  optimizer().save_state(out);
   out.f64_span(baseline_sum_);
   std::vector<std::uint64_t> counts(baseline_count_.begin(),
                                     baseline_count_.end());
   out.u64_span(counts);
-  out.u64(updates_);
-  out.f64(last_loss_);
-  out.f64(last_grad_norm_);
+  save_telemetry(out);
   out.u64(memory_.size());
   for (const Step& step : memory_) {
     out.f32_span(step.state);
@@ -213,17 +167,15 @@ void PGPolicy::save_state(util::BinaryWriter& out) const {
 
 void PGPolicy::load_state(util::BinaryReader& in) {
   in.section("PGPO", 1);
-  network_.load_state(in);
-  optimizer_.load_state(in);
+  network().load_state(in);
+  optimizer().load_state(in);
   baseline_sum_ = in.f64_vector();
   const auto counts = in.u64_vector();
   if (counts.size() != baseline_sum_.size())
     throw util::SerializationError(
         "PG baseline sum/count length mismatch in checkpoint");
   baseline_count_.assign(counts.begin(), counts.end());
-  updates_ = in.u64();
-  last_loss_ = in.f64();
-  last_grad_norm_ = in.f64();
+  load_telemetry(in);
   memory_.clear();
   const std::uint64_t steps = in.u64();
   memory_.reserve(steps);

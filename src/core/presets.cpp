@@ -3,21 +3,11 @@
 namespace dras::core {
 
 nn::NetworkConfig SystemPreset::pg_network() const {
-  nn::NetworkConfig net;
-  net.input_rows = 2 * window + static_cast<std::size_t>(nodes);
-  net.fc1 = fc1;
-  net.fc2 = fc2;
-  net.outputs = window;
-  return net;
+  return agent_config(AgentKind::PG, 0).network_config();
 }
 
 nn::NetworkConfig SystemPreset::dql_network() const {
-  nn::NetworkConfig net;
-  net.input_rows = 2 + static_cast<std::size_t>(nodes);
-  net.fc1 = fc1;
-  net.fc2 = fc2;
-  net.outputs = 1;
-  return net;
+  return agent_config(AgentKind::DQL, 0).network_config();
 }
 
 DrasConfig SystemPreset::agent_config(AgentKind kind,

@@ -75,6 +75,18 @@ void StateEncoder::append_fairness_rows(
   out[3] = 0.0f;
 }
 
+void StateEncoder::write_tail(const sim::SchedulingContext& ctx,
+                              std::span<const sim::Job* const> candidates,
+                              float* out) const {
+  append_nodes(ctx, out);
+  out += 2 * static_cast<std::size_t>(total_nodes_);
+  if (failure_features_) {
+    append_failure_rows(ctx, out);
+    out += 2 * kFailureRows;
+  }
+  if (fairness_features_) append_fairness_rows(ctx, candidates, out);
+}
+
 void StateEncoder::encode_window(const sim::SchedulingContext& ctx,
                                  std::span<const sim::Job* const> window,
                                  std::size_t window_slots,
@@ -88,14 +100,7 @@ void StateEncoder::encode_window(const sim::SchedulingContext& ctx,
     cursor += 4;
   }
   // Remaining slots stay zero (invalid actions are masked downstream).
-  cursor = out.data() + 4 * window_slots;
-  append_nodes(ctx, cursor);
-  cursor += 2 * static_cast<std::size_t>(total_nodes_);
-  if (failure_features_) {
-    append_failure_rows(ctx, cursor);
-    cursor += 2 * kFailureRows;
-  }
-  if (fairness_features_) append_fairness_rows(ctx, window, cursor);
+  write_tail(ctx, window, out.data() + 4 * window_slots);
 }
 
 void StateEncoder::encode_job(const sim::SchedulingContext& ctx,
@@ -103,17 +108,8 @@ void StateEncoder::encode_job(const sim::SchedulingContext& ctx,
                               std::vector<float>& out) const {
   out.assign(dql_input_size(), 0.0f);
   write_job_block(job, ctx.now(), out.data());
-  append_nodes(ctx, out.data() + 4);
-  float* cursor =
-      out.data() + 4 + 2 * static_cast<std::size_t>(total_nodes_);
-  if (failure_features_) {
-    append_failure_rows(ctx, cursor);
-    cursor += 2 * kFailureRows;
-  }
-  if (fairness_features_) {
-    const sim::Job* candidates[] = {&job};
-    append_fairness_rows(ctx, candidates, cursor);
-  }
+  const sim::Job* candidates[] = {&job};
+  write_tail(ctx, candidates, out.data() + 4);
 }
 
 }  // namespace dras::core

@@ -63,17 +63,27 @@ class StateEncoder {
     return fairness_features_;
   }
 
-  /// Flat input length for a PG network over a W-job window.
+  /// Network input rows for `jobs` job blocks (W for PG, 1 for DQL) on a
+  /// `nodes`-node machine: 2 rows per job, 1 per node, then the enabled
+  /// feature rows.  The one place the layout's row count is written.
+  [[nodiscard]] static constexpr std::size_t input_rows(
+      std::size_t jobs, int nodes, bool failure_features,
+      bool fairness_features) noexcept {
+    return 2 * jobs + static_cast<std::size_t>(nodes) +
+           (failure_features ? kFailureRows : 0) +
+           (fairness_features ? kFairnessRows : 0);
+  }
+
+  /// Flat input length (two floats per row) for a PG network over a
+  /// W-job window.
   [[nodiscard]] std::size_t pg_input_size(std::size_t window) const noexcept {
-    return 2 * (2 * window + static_cast<std::size_t>(total_nodes_) +
-                (failure_features_ ? kFailureRows : 0) +
-                (fairness_features_ ? kFairnessRows : 0));
+    return 2 * input_rows(window, total_nodes_, failure_features_,
+                          fairness_features_);
   }
   /// Flat input length for a DQL network (one job).
   [[nodiscard]] std::size_t dql_input_size() const noexcept {
-    return 2 * (2 + static_cast<std::size_t>(total_nodes_) +
-                (failure_features_ ? kFailureRows : 0) +
-                (fairness_features_ ? kFairnessRows : 0));
+    return 2 * input_rows(1, total_nodes_, failure_features_,
+                          fairness_features_);
   }
 
   /// Encode a W-slot window (PG).  `window` holds the jobs actually present
@@ -91,6 +101,11 @@ class StateEncoder {
  private:
   void write_job_block(const sim::Job& job, sim::Time now,
                        float* out) const noexcept;
+  /// The rows after the job blocks: the node rows, then the enabled
+  /// feature rows (fairness over `candidates`), from `out` on.
+  void write_tail(const sim::SchedulingContext& ctx,
+                  std::span<const sim::Job* const> candidates,
+                  float* out) const;
   void append_nodes(const sim::SchedulingContext& ctx, float* out) const;
   void append_failure_rows(const sim::SchedulingContext& ctx,
                            float* out) const noexcept;

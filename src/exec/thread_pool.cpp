@@ -3,6 +3,10 @@
 #include <stdexcept>
 #include <utility>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -120,6 +124,11 @@ void ThreadPool::enqueue(Task task) {
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
   auto& metrics = ExecMetrics::get();
+#ifdef _OPENMP
+  // A default team per worker would put workers x cores compute threads
+  // on the cores: rollout training ran slower at 2 workers than at 1.
+  if (options_.workers > 1) omp_set_num_threads(1);
+#endif
   // One swim-lane per worker on the exec pid: spans opened inside tasks
   // (e.g. rollout slot spans) inherit this lane automatically.
   obs::set_thread_trace_lane(

@@ -13,6 +13,11 @@
 //   3. Dependency-free.  Plain <thread>/<mutex>/<future>; no third-party
 //      runtime.
 //
+// OpenMP: in a pool of two or more workers every worker thread runs its
+// OpenMP regions (the nn kernels) on a team of one, so N workers keep N
+// compute threads instead of N full teams.  A one-worker pool keeps the
+// default team.  Kernel results do not depend on the team size.
+//
 // Telemetry: every pool feeds the exec.* instruments of the global
 // obs::Registry (tasks submitted/completed/failed, queue-depth gauge,
 // task wait/run latency histograms, worker utilisation) and, when a

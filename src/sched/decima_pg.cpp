@@ -1,34 +1,31 @@
 #include "sched/decima_pg.h"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "core/window.h"
 
 namespace dras::sched {
 
-DecimaPG::DecimaPG(const DecimaConfig& config)
-    : config_(config),
-      reward_(config.reward_kind, config.reward_weights),
-      encoder_(config.total_nodes, config.time_scale),
-      rng_(util::derive_seed(config.seed, "decima")) {
-  core::PGConfig pg_cfg;
-  pg_cfg.net.input_rows =
-      2 * config.window + static_cast<std::size_t>(config.total_nodes);
-  pg_cfg.net.fc1 = config.fc1;
-  pg_cfg.net.fc2 = config.fc2;
-  pg_cfg.net.outputs = config.window;
-  pg_cfg.adam = config.adam;
-  policy_ = std::make_unique<core::PGPolicy>(pg_cfg, config.seed);
+namespace {
+const core::DrasConfig& pg_only(const core::DrasConfig& config) {
+  if (config.kind != core::AgentKind::PG)
+    throw std::invalid_argument("Decima-PG needs a DRAS-PG configuration");
+  return config;
 }
+}  // namespace
+
+DecimaPG::DecimaPG(const core::DrasConfig& config)
+    : config_(pg_only(config)),
+      reward_(config.reward_kind, config.reward_weights),
+      encoder_(config.total_nodes, config.time_scale,
+               config.failure_features, config.fairness_features),
+      policy_(core::PGConfig{config.network_config(), config.adam},
+              config.seed),
+      rng_(util::derive_seed(config.seed, "decima")) {}
 
 std::unique_ptr<sim::Scheduler> DecimaPG::clone() const {
-  auto copy = std::make_unique<DecimaPG>(config_);
-  *copy->policy_ = *policy_;
-  copy->rng_ = rng_;
-  copy->training_ = training_;
-  copy->episode_reward_ = episode_reward_;
-  copy->instances_seen_ = instances_seen_;
-  return copy;
+  return std::make_unique<DecimaPG>(*this);
 }
 
 void DecimaPG::begin_episode() {
@@ -39,7 +36,7 @@ void DecimaPG::begin_episode() {
 }
 
 void DecimaPG::end_episode() {
-  if (training_) policy_->update();
+  if (training_) policy_.update();
 }
 
 void DecimaPG::schedule(sim::SchedulingContext& ctx) {
@@ -53,7 +50,7 @@ void DecimaPG::schedule(sim::SchedulingContext& ctx) {
     encoder_.encode_window(ctx, window, config_.window, encode_scratch_);
     // Stochastic policy at training and evaluation time (§III-B).
     const std::size_t action =
-        policy_->sample_action(encode_scratch_, window.size(), rng_);
+        policy_.sample_action(encode_scratch_, window.size(), rng_);
     const sim::Job* job = window[action];
     const bool ok = ctx.start_now(job->id);
     assert(ok);
@@ -61,13 +58,13 @@ void DecimaPG::schedule(sim::SchedulingContext& ctx) {
     const double reward = reward_.step_reward(ctx, *job);
     episode_reward_ += reward;
     if (training_)
-      policy_->record(encode_scratch_, window.size(), action, reward);
+      policy_.record(encode_scratch_, window.size(), action, reward);
   }
 
   ++instances_seen_;
   if (training_ &&
       instances_seen_ % static_cast<std::size_t>(config_.update_every) == 0)
-    policy_->update();
+    policy_.update();
 }
 
 }  // namespace dras::sched

@@ -12,6 +12,7 @@
 
 #include <memory>
 
+#include "core/dras_agent.h"
 #include "core/pg_policy.h"
 #include "core/reward.h"
 #include "core/state_encoder.h"
@@ -20,22 +21,12 @@
 
 namespace dras::sched {
 
-struct DecimaConfig {
-  int total_nodes = 0;
-  std::size_t window = 50;
-  std::size_t fc1 = 0;
-  std::size_t fc2 = 0;
-  double time_scale = 86400.0;
-  core::RewardKind reward_kind = core::RewardKind::Capability;
-  core::RewardWeights reward_weights;
-  int update_every = 10;
-  nn::AdamConfig adam;
-  std::uint64_t seed = 1;
-};
-
 class DecimaPG final : public sim::Scheduler {
  public:
-  explicit DecimaPG(const DecimaConfig& config);
+  /// Built from a DRAS-PG agent configuration — the same state encoding,
+  /// network shape, reward and update cadence, without the hierarchy.
+  /// Throws std::invalid_argument unless config.kind is AgentKind::PG.
+  explicit DecimaPG(const core::DrasConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "Decima-PG"; }
   void begin_episode() override;
@@ -50,13 +41,15 @@ class DecimaPG final : public sim::Scheduler {
   [[nodiscard]] double episode_reward() const noexcept {
     return episode_reward_;
   }
-  [[nodiscard]] core::PGPolicy& policy() noexcept { return *policy_; }
+  [[nodiscard]] core::PGPolicy& policy() noexcept { return policy_; }
 
  private:
-  DecimaConfig config_;
+  core::DrasConfig config_;
   core::RewardFunction reward_;
   core::StateEncoder encoder_;
-  std::unique_ptr<core::PGPolicy> policy_;
+  // Held by value, so the implicit copy constructor is the deep copy
+  // clone() returns.
+  core::PGPolicy policy_;
   util::Rng rng_;
   bool training_ = true;
   double episode_reward_ = 0.0;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/ops.h"
 #include "obs/metrics.h"
 #include "util/format.h"
 
@@ -80,47 +79,30 @@ std::vector<float> pack_states(
   return inputs;
 }
 
-/// Batched PG head: one forward_batch over all window states, then per
-/// request the exact greedy_action math — softmax_masked over the full
-/// logit row, argmax (first-max-wins) over the first `valid` probs.
-void decide_pg(core::DrasAgent& agent,
-               std::span<const DecisionRequest* const> requests,
-               std::span<std::size_t> picks) {
+/// The batched head: every request's rows (its window state for PG, one
+/// row per candidate for DQL) go through one forward_batch, then each
+/// request's outputs go through its policy's greedy rule —
+/// PGPolicy::greedy_index or DQLPolicy::greedy_index, the rules the
+/// trainer-side greedy paths use.
+void decide(core::DrasAgent& agent,
+            std::span<const DecisionRequest* const> requests,
+            std::span<std::size_t> picks) {
   nn::Network& net = agent.network();
+  const std::size_t in = net.config().input_size();
   const std::size_t out = net.config().outputs;
-  const std::size_t batch = requests.size();
   const std::vector<float> inputs = pack_states(requests);
-  std::vector<float> logits(batch * out);
-  net.forward_batch(inputs, batch, logits);
-  std::vector<float> probs(out);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const std::span<const float> row =
-        std::span<const float>(logits).subspan(b * out, out);
-    nn::softmax_masked(row, probs, requests[b]->valid);
-    picks[b] = static_cast<std::size_t>(
-        std::max_element(probs.begin(),
-                         probs.begin() +
-                             static_cast<std::ptrdiff_t>(requests[b]->valid)) -
-        probs.begin());
-  }
-}
-
-/// Batched DQL head: every candidate of every request becomes one row
-/// of a single forward_batch; per request the pick is
-/// DQLPolicy::greedy_index, the rule select_action(explore=false) uses.
-void decide_dql(core::DrasAgent& agent,
-                std::span<const DecisionRequest* const> requests,
-                std::span<std::size_t> picks) {
-  nn::Network& net = agent.network();
-  const std::vector<float> inputs = pack_states(requests);
-  const std::size_t total = inputs.size() / net.config().input_size();
-  std::vector<float> q(total);
-  net.forward_batch(inputs, total, q);
+  const std::size_t rows = inputs.size() / in;
+  std::vector<float> outputs(rows * out);
+  net.forward_batch(inputs, rows, outputs);
+  const bool pg = agent.config().kind == core::AgentKind::PG;
+  std::vector<float> probs;
   std::size_t offset = 0;
   for (std::size_t b = 0; b < requests.size(); ++b) {
-    const std::size_t n = requests[b]->valid;
-    picks[b] = core::DQLPolicy::greedy_index(
-        std::span<const float>(q).subspan(offset, n));
+    const DecisionRequest& request = *requests[b];
+    const std::size_t n = request.state.size() / in * out;
+    const auto scores = std::span<const float>(outputs).subspan(offset, n);
+    picks[b] = pg ? core::PGPolicy::greedy_index(scores, request.valid, probs)
+                  : core::DQLPolicy::greedy_index(scores);
     offset += n;
   }
 }
@@ -309,10 +291,7 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
         "serve.forward",
         {obs::targ("rows", static_cast<std::uint64_t>(valid_requests.size()))},
         &metrics.batch_forward_us);
-    if (replica.config().kind == core::AgentKind::PG)
-      decide_pg(replica, valid_requests, picks);
-    else
-      decide_dql(replica, valid_requests, picks);
+    decide(replica, valid_requests, picks);
   }
 
   // Count the batch before completing any of its futures, so stats()

@@ -6,9 +6,10 @@
 // coalesce queued requests into batches under a max-batch/max-wait
 // policy — a batch closes as soon as it holds `max_batch` requests or
 // the oldest queued request has waited `max_wait`, whichever comes
-// first — and run ONE nn::Network::forward_batch per batch.  Because
-// forward_batch rows are bit-identical to per-sample forward() and the
-// head math below is byte-for-byte the policies' greedy code, a served
+// first — and run ONE nn::Network::forward_batch per batch, then pick
+// each request's action with its policy's own greedy rule
+// (PGPolicy::greedy_index / DQLPolicy::greedy_index).  Because
+// forward_batch rows are bit-identical to per-sample forward(), a served
 // decision is bit-identical to the in-trainer decision from the same
 // snapshot (the determinism oracle, enforced in tests and the bench).
 //

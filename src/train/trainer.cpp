@@ -201,14 +201,6 @@ EpisodeResult Trainer::run_episode(const Jobset& jobset) {
   return result;
 }
 
-std::vector<EpisodeResult> Trainer::run(std::span<const Jobset> curriculum) {
-  std::vector<EpisodeResult> results;
-  results.reserve(curriculum.size());
-  for (const Jobset& jobset : curriculum)
-    results.push_back(run_episode(jobset));
-  return results;
-}
-
 std::vector<EpisodeResult> Trainer::run(Curriculum& curriculum,
                                         const RunOptions& run_options) {
   if (run_options.recovery != nullptr) {

@@ -169,9 +169,6 @@ class Trainer {
   /// Train one episode on `jobset`, then (optionally) validate & snapshot.
   EpisodeResult run_episode(const Jobset& jobset);
 
-  /// Run a whole curriculum in order.
-  std::vector<EpisodeResult> run(std::span<const Jobset> curriculum);
-
   /// Crash-safe curriculum run: consumes `curriculum` from its cursor,
   /// checkpointing and honouring the stop flag per `run_options`.  To
   /// resume a killed run, restore agent/trainer/curriculum through

@@ -61,6 +61,20 @@ TEST(PGPolicy, GreedyPicksArgmax) {
     EXPECT_GE(probs[greedy], probs[i]);
 }
 
+TEST(PGPolicy, GreedyIndexTakesTheFirstMaximum) {
+  std::vector<float> probs;
+  // Tied logits give tied probabilities: the first of them wins.
+  const std::vector<float> tied = {0.5f, 2.0f, 2.0f, -1.0f};
+  EXPECT_EQ(PGPolicy::greedy_index(tied, 4, probs), 1u);
+  const std::vector<float> flat(5, 0.25f);
+  EXPECT_EQ(PGPolicy::greedy_index(flat, 5, probs), 0u);
+  // A larger logit past `valid` is masked out, not picked.
+  const std::vector<float> masked = {0.1f, 0.3f, 0.2f, 9.0f};
+  EXPECT_EQ(PGPolicy::greedy_index(masked, 3, probs), 1u);
+  ASSERT_EQ(probs.size(), masked.size());
+  EXPECT_EQ(probs[3], 0.0f);
+}
+
 TEST(PGPolicy, UpdateOnEmptyMemoryIsNoop) {
   PGPolicy policy(tiny_config(), 7);
   const auto before = std::vector<float>(policy.network().parameters().begin(),

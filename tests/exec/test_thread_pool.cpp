@@ -9,6 +9,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "obs/metrics.h"
 
 namespace dras::exec {
@@ -17,6 +21,17 @@ namespace {
 TEST(ThreadPool, DefaultConcurrencyIsPositive) {
   EXPECT_GE(default_concurrency(), 1u);
 }
+
+#ifdef _OPENMP
+TEST(ThreadPool, SideBySideWorkersRunOneThreadOpenMPTeams) {
+  const int caller_team = omp_get_max_threads();
+  ThreadPool pair({2, 0});
+  EXPECT_EQ(pair.submit([] { return omp_get_max_threads(); }).get(), 1);
+  ThreadPool lone({1, 0});
+  EXPECT_EQ(lone.submit([] { return omp_get_max_threads(); }).get(),
+            caller_team);
+}
+#endif
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
   std::atomic<int> ran{0};

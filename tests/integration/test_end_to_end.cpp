@@ -64,13 +64,13 @@ TEST(EndToEnd, FullTrainingPipelineRuns) {
   curriculum_options.synthetic_sets = 1;
   curriculum_options.jobs_per_set = 120;
   curriculum_options.seed = 5;
-  const auto curriculum =
-      train::build_curriculum(model, real, curriculum_options);
+  train::Curriculum curriculum(
+      train::build_curriculum(model, real, curriculum_options));
 
   core::DrasAgent agent(agent_config(core::AgentKind::PG, model.system_nodes));
   train::Trainer trainer(agent, model.system_nodes,
                          make_trace(model, 80, 1234));
-  const auto results = trainer.run(curriculum);
+  const auto results = trainer.run(curriculum, {});
   ASSERT_EQ(results.size(), 3u);
   for (const auto& r : results) {
     EXPECT_EQ(r.validation_summary.jobs, 80u);
@@ -87,7 +87,7 @@ TEST(EndToEnd, AllSevenMethodsCompleteTheSameWorkload) {
   sched::BinPacking binpacking;
   sched::RandomPolicy random(3);
   sched::KnapsackOpt optimization(reward);
-  sched::DecimaConfig decima_cfg;
+  core::DrasConfig decima_cfg;
   decima_cfg.total_nodes = model.system_nodes;
   decima_cfg.window = 6;
   decima_cfg.fc1 = 32;

@@ -74,7 +74,7 @@ TEST(Clone, RandomPolicyCloneIdenticalAfterPriorRun) {
 }
 
 TEST(Clone, DecimaPGCloneCarriesLearnedState) {
-  DecimaConfig config;
+  core::DrasConfig config;
   config.total_nodes = 16;
   config.window = 4;
   config.fc1 = 16;

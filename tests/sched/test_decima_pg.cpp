@@ -12,8 +12,8 @@ namespace {
 
 using dras::testing::make_job;
 
-DecimaConfig tiny_config() {
-  DecimaConfig cfg;
+core::DrasConfig tiny_config() {
+  core::DrasConfig cfg;
   cfg.total_nodes = 8;
   cfg.window = 4;
   cfg.fc1 = 16;
@@ -21,6 +21,12 @@ DecimaConfig tiny_config() {
   cfg.time_scale = 1000.0;
   cfg.seed = 3;
   return cfg;
+}
+
+TEST(DecimaPG, RejectsNonPGConfig) {
+  core::DrasConfig cfg = tiny_config();
+  cfg.kind = core::AgentKind::DQL;
+  EXPECT_THROW(DecimaPG{cfg}, std::invalid_argument);
 }
 
 TEST(DecimaPG, CompletesWorkload) {

@@ -78,11 +78,12 @@ TEST(Trainer, RunWholeCurriculum) {
   TrainerOptions options;
   options.validate_each_episode = false;
   Trainer trainer(agent, 16, {}, options);
-  std::vector<Jobset> curriculum;
+  std::vector<Jobset> jobsets;
   for (int i = 0; i < 3; ++i)
-    curriculum.push_back(Jobset{"s", JobsetPhase::Synthetic,
-                                tiny_trace(40, 10 + i)});
-  const auto results = trainer.run(curriculum);
+    jobsets.push_back(Jobset{"s", JobsetPhase::Synthetic,
+                             tiny_trace(40, 10 + i)});
+  Curriculum curriculum(std::move(jobsets));
+  const auto results = trainer.run(curriculum, {});
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[2].episode, 2u);
 }

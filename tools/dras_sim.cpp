@@ -579,14 +579,8 @@ int main(int argc, char** argv) {
     } else if (policy_name == "wfq") {
       owned = std::make_unique<dras::sched::WeightedFairQueuing>();
     } else if (policy_name == "decima-pg") {
-      dras::sched::DecimaConfig cfg;
+      auto cfg = setup.preset.agent_config(dras::core::AgentKind::PG, seed);
       cfg.total_nodes = nodes;
-      cfg.window = setup.preset.window;
-      cfg.fc1 = setup.preset.fc1;
-      cfg.fc2 = setup.preset.fc2;
-      cfg.time_scale = setup.preset.max_walltime;
-      cfg.reward_kind = setup.preset.reward;
-      cfg.seed = seed;
       auto decima = std::make_unique<dras::sched::DecimaPG>(cfg);
       for (std::size_t e = 0; e < train_episodes; ++e) {
         dras::workload::GenerateOptions gen;
