@@ -3,8 +3,8 @@
 #
 #   1. Release build + full test suite (the ROADMAP.md tier-1 line).
 #   2. ASan+UBSan build (DRAS_SANITIZE=ON) running the telemetry,
-#      simulator, parallel-execution, nn-kernel/DQL, policy-head and
-#      serving-head tests — the subsystems with lock-free concurrency,
+#      simulator, parallel-execution, nn-kernel/DQL, gradient-deposit,
+#      policy-head and serving-head tests — the subsystems with lock-free concurrency,
 #      thread pools, raw-fd I/O and vector loads over padded lanes,
 #      where sanitizers earn their keep.
 #
@@ -29,6 +29,6 @@ echo "=== tier-1: ASan+UBSan build + obs/sim/exec/nn/head tests ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DDRAS_SANITIZE=ON
 cmake --build build-asan -j "$(nproc)" --target dras_tests
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'Obs|EventTracer|DefaultTracer|Sink|Simulator|Json|ThreadPool|Parallel|Clone|TaskSeed|Wire|Socket|NetServer|NetClient|Chaos|Gemv|GemmBatch|Network|DQLPolicy|PolicyHead|PGPolicy\.Greedy|DecisionServiceTest'
+  -R 'Obs|EventTracer|DefaultTracer|Sink|Simulator|Json|ThreadPool|Parallel|Clone|TaskSeed|Wire|Socket|NetServer|NetClient|Chaos|Gemv|GemmBatch|Network|GradAccum|DQLPolicy|PolicyHead|PGPolicy\.Greedy|DecisionServiceTest'
 
 echo "=== tier-1: all green ==="

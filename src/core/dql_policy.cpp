@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/binio.h"
@@ -13,6 +14,14 @@ const nn::NetworkConfig& single_output(const nn::NetworkConfig& net) {
   if (net.outputs != 1)
     throw std::invalid_argument("DQL network must have one output");
   return net;
+}
+
+/// The bootstrap's max_a Q over one window, each Q widened to double.
+double max_q(std::span<const float> q) {
+  double best = static_cast<double>(q[0]);
+  for (std::size_t i = 1; i < q.size(); ++i)
+    best = std::max(best, static_cast<double>(q[i]));
+  return best;
 }
 }  // namespace
 
@@ -64,17 +73,35 @@ std::size_t DQLPolicy::select_action(
     bool explore) {
   if (candidates.empty())
     throw std::invalid_argument("no candidates to select among");
+  scored_rows_ = 0;
   if (explore && rng.bernoulli(epsilon_))
     return rng.uniform_index(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i)
     load_row(i, candidates[i]);
-  return greedy_index(score_rows(candidates.size(), /*retain=*/false));
+  const auto q = score_rows(candidates.size(), /*retain=*/false);
+  scored_rows_ = candidates.size();
+  scored_ = {max_q(q), network().parameter_generation()};
+  return greedy_index(q);
+}
+
+bool DQLPolicy::is_scored_window(
+    const std::vector<std::vector<float>>& candidates) const {
+  if (scored_rows_ == 0 || candidates.size() != scored_rows_) return false;
+  const std::size_t in = config_.net.input_size();
+  for (std::size_t i = 0; i < candidates.size(); ++i)
+    if (candidates[i].size() != in ||
+        std::memcmp(candidates[i].data(), batch_inputs_.data() + i * in,
+                    in * sizeof(float)) != 0)
+      return false;
+  return true;
 }
 
 void DQLPolicy::record(std::vector<std::vector<float>> candidates,
                        std::size_t action, double reward) {
   assert(action < candidates.size());
-  memory_.push_back(Transition{std::move(candidates), action, reward});
+  Transition tr{std::move(candidates), action, reward};
+  if (is_scored_window(tr.candidates)) tr.scored = scored_;
+  memory_.push_back(std::move(tr));
 }
 
 void DQLPolicy::update() {
@@ -82,18 +109,24 @@ void DQLPolicy::update() {
   const std::size_t steps = memory_.size();
   const obs::Span span = update_span(steps);
 
-  // Bootstrap targets first (they query the network with current θ), one
-  // batched forward per next-state window.
+  // Bootstrap targets first (they query the network with current θ).  A
+  // next-state window keeps the max its selection scored while θ is
+  // unchanged since: that forward_batch saw the same rows, row count and
+  // parameters as a new one would, so the bits agree.  Any other window
+  // is scored here by one batched forward.
+  scored_rows_ = 0;  // the rows below overwrite the scored window
+  const std::uint64_t generation = network().parameter_generation();
   std::vector<double> targets(steps);
   for (std::size_t k = 0; k < steps; ++k) {
     double target = memory_[k].reward;
     if (k + 1 < steps) {
-      const auto& next = memory_[k + 1].candidates;
-      for (std::size_t i = 0; i < next.size(); ++i) load_row(i, next[i]);
-      const auto q = score_rows(next.size(), /*retain=*/false);
-      double best = static_cast<double>(q[0]);
-      for (std::size_t i = 1; i < q.size(); ++i)
-        best = std::max(best, static_cast<double>(q[i]));
+      const Transition& next = memory_[k + 1];
+      double best = next.scored.max_q;
+      if (next.scored.generation != generation) {
+        for (std::size_t i = 0; i < next.candidates.size(); ++i)
+          load_row(i, next.candidates[i]);
+        best = max_q(score_rows(next.candidates.size(), /*retain=*/false));
+      }
       target += config_.gamma * best;
     }
     targets[k] = target;
@@ -155,6 +188,7 @@ void DQLPolicy::load_state(util::BinaryReader& in) {
     throw util::SerializationError(
         "DQL epsilon outside [0, 1] in checkpoint");
   load_telemetry(in);
+  scored_rows_ = 0;
   memory_.clear();
   const std::uint64_t transitions = in.u64();
   memory_.reserve(transitions);

@@ -11,6 +11,12 @@
 //
 //   θ ← θ − α Σ_k ∇θ Q(s_k,a_k) ( Q(s_k,a_k) − [r_k + γ·max_a Q(s_{k+1},a)] )
 //
+// max_a Q(s_{k+1},a) is usually known before the update runs: a greedy
+// selection scored that very window under the parameters the update still
+// holds, since θ only moves when an update closes.  The update reuses that
+// value; only a window picked by exploration, or one whose parameters were
+// written after it was scored, is scored again.
+//
 // The paper's Eq. 4 omits γ; we expose it (default 0.99) and note the
 // deviation in EXPERIMENTS.md.
 #pragma once
@@ -42,7 +48,8 @@ class DQLPolicy final : public PolicyHead {
 
   /// ε-greedy selection among candidate states (one encoding per job in
   /// the window).  With `explore` false the choice is greedy_index() of
-  /// the window's Q-values; an exploring pick runs no forward.
+  /// the window's Q-values, and the window's max Q is kept for record();
+  /// an exploring pick runs no forward and keeps nothing.
   [[nodiscard]] std::size_t select_action(
       const std::vector<std::vector<float>>& candidates, util::Rng& rng,
       bool explore);
@@ -53,16 +60,22 @@ class DQLPolicy final : public PolicyHead {
   [[nodiscard]] static std::size_t greedy_index(std::span<const float> q);
 
   /// Append one transition.  `candidates` are the encodings the selection
-  /// chose among; the next recorded transition supplies s_{k+1}.
+  /// chose among; the next recorded transition supplies s_{k+1}.  When
+  /// they are bit for bit the window select_action last scored, the
+  /// transition carries that window's max Q and its parameter generation.
   void record(std::vector<std::vector<float>> candidates, std::size_t action,
               double reward);
 
   /// Eq. 4 semi-gradient update over the recorded transitions; clears the
   /// memory and decays ε.  No-op when the memory is empty.  The loss is
-  /// the mean TD loss ½(Q − target)².  Each next-state window is scored
-  /// by one batched forward, and the chosen states' forwards run in
-  /// retained batches of at most 16 whose samples are staged for backward
-  /// in transition order — bit-identical to one forward/backward per
+  /// the mean TD loss ½(Q − target)².  A next-state window takes the max
+  /// Q it carries from its selection when the network's
+  /// parameter_generation() still equals the one it was scored under, and
+  /// is otherwise scored by one batched forward (an exploring pick, a
+  /// record of some other window, a restored transition, parameters
+  /// changed since).  The chosen states' forwards run in retained batches
+  /// of at most 16 whose samples are staged for backward in transition
+  /// order.  All of it is bit-identical to one forward/backward per
   /// transition.
   void update() override;
 
@@ -78,18 +91,30 @@ class DQLPolicy final : public PolicyHead {
 
   /// Checkpoint hooks ("DQLP" section): network parameters, optimiser
   /// moments, the ε schedule position, update telemetry and any pending
-  /// transitions.  A restored policy continues bit-identically.
+  /// transitions.  A restored policy continues bit-identically; its
+  /// transitions carry no selection-time Q, so update() scores them.
   void save_state(util::BinaryWriter& out) const override;
   void load_state(util::BinaryReader& in) override;
 
  private:
+  /// A window's max Q, valid while the network's parameter_generation()
+  /// equals `generation` (0: none).  Transient, never serialized.
+  struct ScoredMax {
+    double max_q = 0.0;
+    std::uint64_t generation = 0;
+  };
   struct Transition {
     std::vector<std::vector<float>> candidates;
     std::size_t action = 0;
     double reward = 0.0;
+    ScoredMax scored = {};  ///< from the selection that scored them.
   };
 
   void on_update_consumed() override;
+
+  /// Are `candidates` bit for bit the window select_action last scored?
+  [[nodiscard]] bool is_scored_window(
+      const std::vector<std::vector<float>>& candidates) const;
 
   /// Copy `state` into row `i` of batch_inputs_, growing it as needed.
   void load_row(std::size_t i, const std::vector<float>& state);
@@ -104,6 +129,10 @@ class DQLPolicy final : public PolicyHead {
   // chunk; transient, never serialized.
   std::vector<float> batch_inputs_;
   std::vector<float> batch_q_;
+  // The window select_action last scored: the first scored_rows_ rows of
+  // batch_inputs_ (0: none) and their max Q.
+  std::size_t scored_rows_ = 0;
+  ScoredMax scored_;
 };
 
 }  // namespace dras::core

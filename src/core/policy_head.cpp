@@ -38,18 +38,19 @@ void PolicyHead::close_update(std::size_t steps, double loss_sum) {
   // The batch mean (Eq. 3/4 sum over the memory) keeps the step size
   // independent of how many steps the memory held.
   const auto scale = 1.0f / static_cast<float>(steps);
-  for (float& g : network_.gradients()) g *= scale;
   last_loss_ = loss_sum / static_cast<double>(steps);
-  last_grad_norm_ = network_.gradient_norm();
   if (sink_ != nullptr) {
-    // Deferred mode (data-parallel rollout): deposit the batch-mean
-    // gradient for the round's reduction; parameters stay frozen at
-    // their round-start values.
-    sink_->add(network_.gradients(), last_loss_);
+    // Deferred mode (data-parallel rollout): scale, deposit and zero the
+    // gradient in one pass for the round's reduction; parameters stay
+    // frozen at their round-start values.  No norm is taken: the round
+    // reports its reduced gradient's norm instead.
+    sink_->deposit(network_.gradients(), scale, last_loss_);
   } else {
+    for (float& g : network_.gradients()) g *= scale;
+    last_grad_norm_ = network_.gradient_norm();
     optimizer_.step(network_.parameters(), network_.gradients());
+    network_.zero_gradients();
   }
-  network_.zero_gradients();
   consume_updates(1);
 }
 

@@ -3,12 +3,12 @@
 // DRAS-PG (Eq. 3) and DRAS-DQL (Eq. 4) differ only in their experience
 // memory and their loss.  PolicyHead owns the rest: the network, its Adam
 // optimiser and the gradient sink; the update telemetry; the close of an
-// update (average the summed per-sample gradients, take their L2 norm,
-// then step the optimiser, or with a sink armed deposit the gradient and
-// leave the parameters frozen); and the reduced step that stands in for a
-// round of deferred updates.  on_update_consumed() runs once per update
-// consumed on any of those paths, so a schedule tied to updates (DQL's ε
-// decay) advances the same way on each.
+// update (average the summed per-sample gradients, take their L2 norm and
+// step the optimiser, or with a sink armed average and deposit them in
+// one pass and leave the parameters frozen); and the reduced step that
+// stands in for a round of deferred updates.  on_update_consumed() runs
+// once per update consumed on any of those paths, so a schedule tied to
+// updates (DQL's ε decay) advances the same way on each.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,10 @@ class PolicyHead {
   [[nodiscard]] std::size_t updates_done() const noexcept { return updates_; }
   /// Mean loss of the last update; 0 before the first.  Telemetry only.
   [[nodiscard]] double last_loss() const noexcept { return last_loss_; }
-  /// L2 norm of the batch-averaged gradient applied by the last update.
+  /// L2 norm of the batch-averaged gradient applied by the last
+  /// optimiser step (an in-place update or apply_reduced_update).  A
+  /// deferred update leaves it unchanged: its sink's reduced_norm()
+  /// reports the round.
   [[nodiscard]] double last_grad_norm() const noexcept {
     return last_grad_norm_;
   }
@@ -58,11 +61,12 @@ class PolicyHead {
   // --- Data-parallel rollout hooks (src/rollout) ---
 
   /// Divert updates into `sink`: update() computes the batch-mean
-  /// gradient, loss and head bookkeeping exactly as usual, but deposits
-  /// the gradient instead of stepping the optimiser, so the parameters
-  /// stay frozen at their round-start values.  Null restores normal
-  /// stepping.  Not owned; must outlive the diverted updates; never
-  /// serialized.
+  /// gradient and loss as usual and deposits the gradient instead of
+  /// stepping the optimiser, so the parameters stay frozen at their
+  /// round-start values.  The update count, last_loss() and the
+  /// per-update hook advance as usual; last_grad_norm() does not.  Null
+  /// restores normal stepping.  Not owned; must outlive the diverted
+  /// updates; never serialized.
   void set_gradient_sink(nn::GradientAccumulator* sink) noexcept {
     sink_ = sink;
   }
@@ -83,8 +87,8 @@ class PolicyHead {
   [[nodiscard]] static obs::Span update_span(std::size_t steps);
 
   /// Close an update whose `steps` per-sample gradients the network holds
-  /// summed, `loss_sum` being their summed loss: average, take the norm,
-  /// step or deposit, zero the gradients, count the update.
+  /// summed, `loss_sum` being their summed loss: average, take the norm
+  /// and step, or deposit; zero the gradients; count the update.
   void close_update(std::size_t steps, double loss_sum);
 
   /// Runs once per update consumed (close_update, apply_reduced_update).

@@ -7,14 +7,18 @@
 
 namespace dras::nn {
 
-void GradientAccumulator::add(std::span<const float> gradient, double loss) {
+void GradientAccumulator::deposit(std::span<float> gradient, float scale,
+                                  double loss) {
   if (gradient.size() != sums_.size())
     throw std::invalid_argument(util::format(
-        "GradientAccumulator::add: gradient has {} entries, accumulator "
-        "holds {}",
+        "GradientAccumulator::deposit: gradient has {} entries, "
+        "accumulator holds {}",
         gradient.size(), sums_.size()));
-  for (std::size_t i = 0; i < sums_.size(); ++i)
-    sums_[i] += static_cast<double>(gradient[i]);
+  for (std::size_t i = 0; i < sums_.size(); ++i) {
+    const float g = gradient[i] * scale;
+    sums_[i] += static_cast<double>(g);
+    gradient[i] = 0.0f;
+  }
   loss_sum_ += loss;
   ++updates_;
 }

@@ -35,7 +35,7 @@ class GradientAccumulator {
   [[nodiscard]] std::size_t parameter_count() const noexcept {
     return sums_.size();
   }
-  /// Updates deposited (add) or absorbed (merge) so far.
+  /// Updates deposited (deposit) or absorbed (merge) so far.
   [[nodiscard]] std::size_t updates() const noexcept { return updates_; }
   [[nodiscard]] bool empty() const noexcept { return updates_ == 0; }
   /// Mean of the deposited per-update losses; 0 when empty.
@@ -47,9 +47,13 @@ class GradientAccumulator {
     return sums_;
   }
 
-  /// Deposit one update's batch-mean gradient (and its loss).  Throws
-  /// std::invalid_argument on length mismatch.
-  void add(std::span<const float> gradient, double loss);
+  /// Deposit one update's gradient times `scale` (the batch mean's
+  /// 1/steps) and its loss, zeroing `gradient` in the same pass.  Entry i
+  /// adds double(gradient[i] * scale), the float product a separate
+  /// scaling pass would store, so the sums are those of scaling first and
+  /// depositing after, bit for bit.  Throws std::invalid_argument on
+  /// length mismatch, before touching anything.
+  void deposit(std::span<float> gradient, float scale, double loss);
 
   /// Absorb another accumulator's sums and update count.  Callers own
   /// the ordering contract: merge in ascending task index, always.

@@ -1,5 +1,6 @@
 #include "nn/network.h"
 
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -49,6 +50,11 @@ void xavier_fill(std::span<float> block, std::size_t fan_in,
     w = static_cast<float>(rng.uniform(-limit, limit));
 }
 }  // namespace
+
+std::uint64_t Network::fresh_generation() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1);
+}
 
 Network::Network(const NetworkConfig& config, util::Rng& init_rng)
     : config_(config) {
@@ -317,6 +323,7 @@ void Network::load_state(util::BinaryReader& in) {
         "this network is [{}x2 -> {} -> {} -> {}]",
         input_rows, fc1, fc2, outputs, config_.input_rows, config_.fc1,
         config_.fc2, config_.outputs));
+  generation_ = fresh_generation();  // before a read that may fail midway
   in.f32_into(params_);
   zero_gradients();
   has_forward_ = false;

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -105,9 +106,24 @@ class Network {
   void zero_gradients();
 
   // Flat views for the optimiser, serialisation and gradient checking.
-  [[nodiscard]] std::span<float> parameters() noexcept { return params_; }
+  // The writable view starts a new parameter generation.
+  [[nodiscard]] std::span<float> parameters() noexcept {
+    generation_ = fresh_generation();
+    return params_;
+  }
   [[nodiscard]] std::span<const float> parameters() const noexcept {
     return params_;
+  }
+
+  /// Names the current parameter values: every writable parameters()
+  /// call and every load_state() takes a number no Network in the process
+  /// has held before, and a copy keeps its source's number with its
+  /// values.  Two equal generations therefore mean equal parameters, so a
+  /// value computed from them may be reused while the generation holds.
+  /// Writes through a span taken before the value was computed are not
+  /// seen: take the span again for each change.
+  [[nodiscard]] std::uint64_t parameter_generation() const noexcept {
+    return generation_;
   }
   [[nodiscard]] std::span<float> gradients() noexcept { return grads_; }
   [[nodiscard]] std::span<const float> gradients() const noexcept {
@@ -153,8 +169,12 @@ class Network {
     return std::span<float>(grads_).subspan(offset, count);
   }
 
+  /// A generation no Network has held; never 0.
+  static std::uint64_t fresh_generation() noexcept;
+
   NetworkConfig config_;
   Layout layout_;
+  std::uint64_t generation_ = fresh_generation();
   std::vector<float> params_;
   std::vector<float> grads_;
 

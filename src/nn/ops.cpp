@@ -55,6 +55,21 @@ template <std::size_t N, class Vec>
 // Output rows per OpenMP work item in gemv and gemm_batch: each output
 // element belongs to exactly one tile, so one thread computes it.
 constexpr std::size_t kTileRows = 8;
+
+// Multiply-adds (rows × cols, times the batch for gemm_batch) below which
+// a call stays on the calling thread instead of opening an OpenMP team.
+// Each output element keeps one owner either way, so no bit depends on
+// it.  Measured on a 4-vCPU Xeon VM, team 4 against team 1: the team wins
+// a median call from about 16k multiply-adds (theta-mini's 256×274 gemv,
+// 16 µs → 7 µs), but every team it opens can stall on a preempted vCPU
+// (one of 400 such calls took 1.1 s), and theta-mini DQL training ran up
+// to 3× slower end to end at the default team.  The constant sits above
+// every theta-mini call (at most 1.1M: fc1 over a 16-row TD chunk) and
+// below the hidden layers that gain most from the team: the 3000×800
+// serving network's (2.4M–3.4M, 2.3–3.4× faster) and full Theta's
+// (4M–17M, 3–6×).
+constexpr std::size_t kParallelWork = std::size_t{1} << 21;
+
 // Samples per gemm_batch lane block (four SSE or two AVX2 vectors).
 constexpr std::size_t kMaxLanes = 16;
 
@@ -207,7 +222,8 @@ void gemm_batch_on(const GemmTiles& tiles, std::span<const float> w,
   float* yp = ys.data();
   const auto row_tiles =
       static_cast<std::ptrdiff_t>((rows + kTileRows - 1) / kTileRows);
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (rows * cols * batch >= kParallelWork)
   for (std::ptrdiff_t t = 0; t < row_tiles; ++t) {
     const std::size_t r0 = static_cast<std::size_t>(t) * kTileRows;
     const std::size_t n = std::min(kTileRows, rows - r0);
@@ -271,7 +287,7 @@ void gemv(std::span<const float> w, std::span<const float> x,
   float* yp = y.data();
   const auto tiles =
       static_cast<std::ptrdiff_t>((rows + kTileRows - 1) / kTileRows);
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (rows * cols >= kParallelWork)
   for (std::ptrdiff_t t = 0; t < tiles; ++t) {
     const std::size_t r0 = static_cast<std::size_t>(t) * kTileRows;
     const std::size_t n = std::min(kTileRows, rows - r0);
@@ -312,7 +328,7 @@ void gemv_transpose_acc(std::span<const float> w,
   // sequence of rounded adds as a column-sum loop.
   const auto blocks =
       static_cast<std::ptrdiff_t>((cols + kAxpyCols - 1) / kAxpyCols);
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (rows * cols >= kParallelWork)
   for (std::ptrdiff_t k = 0; k < blocks; ++k) {
     const std::size_t c0 = static_cast<std::size_t>(k) * kAxpyCols;
     const std::size_t n = std::min(kAxpyCols, cols - c0);
@@ -328,7 +344,7 @@ void outer_acc(std::span<const float> grad_y, std::span<const float> x,
   const float* gp = grad_y.data();
   const float* xp = x.data();
   float* wp = grad_w.data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (rows * cols >= kParallelWork)
   for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(rows); ++r) {
     const float g = gp[r];
     if (g == 0.0f) continue;

@@ -6,8 +6,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace dras::core {
@@ -161,15 +164,82 @@ SerialUpdate serial_update(DQLPolicy& policy, double gamma,
   return {loss_acc / static_cast<double>(memory.size()), std::sqrt(grad_sq)};
 }
 
+/// `batched` after its update() against the serial reference's result:
+/// loss, gradient norm and every parameter, bit for bit.
+void expect_matches_serial(const DQLPolicy& batched, const DQLPolicy& serial,
+                           const SerialUpdate& expected,
+                           const std::string& label) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.last_loss()),
+            std::bit_cast<std::uint64_t>(expected.loss))
+      << label;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.last_grad_norm()),
+            std::bit_cast<std::uint64_t>(expected.grad_norm))
+      << label;
+  const auto a = batched.network().parameters();
+  const auto b = serial.network().parameters();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+              std::bit_cast<std::uint32_t>(b[i]))
+        << label << ", parameter " << i;
+}
+
+DQLConfig odd_shape_config() {
+  DQLConfig cfg = tiny_config();
+  cfg.net.input_rows = 23;
+  cfg.net.fc1 = 19;
+  cfg.net.fc2 = 13;
+  return cfg;
+}
+
+/// ε held at ½, so greedy and exploring picks mix.
+DQLConfig half_epsilon_config() {
+  DQLConfig cfg = odd_shape_config();
+  cfg.epsilon_init = 0.5;
+  cfg.epsilon_decay = 1.0;
+  return cfg;
+}
+
+std::vector<std::vector<float>> random_window(util::Rng& rng,
+                                              std::size_t window,
+                                              std::size_t size) {
+  std::vector<std::vector<float>> candidates(window);
+  for (auto& c : candidates) c = random_state(rng, size);
+  return candidates;
+}
+
+/// Forwards run through Network::forward_batch so far (telemetry on).
+std::uint64_t batch_forwards() {
+  return obs::Registry::global().hdr("nn.batch_forward_us").count();
+}
+
+/// `steps` transitions the way the agent makes them: select_action over a
+/// window of 1–16 random candidates (exploring at `policy`'s ε), then
+/// record() of that window.  `explored`, when given, gets whether each
+/// pick ran no forward (telemetry must be on).
+std::vector<RecordedStep> select_and_record(
+    DQLPolicy& policy, util::Rng& rng, std::size_t steps,
+    std::vector<bool>* explored = nullptr) {
+  const std::size_t size = policy.network().config().input_size();
+  std::vector<RecordedStep> memory(steps);
+  for (std::size_t k = 0; k < steps; ++k) {
+    memory[k].candidates = random_window(rng, 1 + (k * 7) % 16, size);
+    const std::uint64_t before = batch_forwards();
+    memory[k].action =
+        policy.select_action(memory[k].candidates, rng, /*explore=*/true);
+    if (explored != nullptr) explored->push_back(batch_forwards() == before);
+    memory[k].reward = rng.uniform(-1.0, 1.0);
+    policy.record(memory[k].candidates, memory[k].action, memory[k].reward);
+  }
+  return memory;
+}
+
 // update() batches its forwards (a window per bootstrap, TD rows in
 // chunks of 16); parameters, loss and gradient norm must still match the
 // serial algorithm bit for bit.  The memories mix 1-candidate windows, a
 // 16-candidate window and more transitions than one TD chunk.
 TEST(DQLPolicy, BatchedUpdateBitIdenticalToSerialReference) {
-  DQLConfig cfg = tiny_config();
-  cfg.net.input_rows = 23;
-  cfg.net.fc1 = 19;
-  cfg.net.fc2 = 13;
+  const DQLConfig cfg = odd_shape_config();
   DQLPolicy batched(cfg, 21);
   DQLPolicy serial = batched;
   util::Rng rng(22);
@@ -177,9 +247,8 @@ TEST(DQLPolicy, BatchedUpdateBitIdenticalToSerialReference) {
     std::vector<RecordedStep> memory(steps);
     for (std::size_t k = 0; k < steps; ++k) {
       const std::size_t window = k % 3 == 0 ? 1 : k == 2 ? 16 : 1 + k % 7;
-      memory[k].candidates.resize(window);
-      for (auto& c : memory[k].candidates)
-        c = random_state(rng, cfg.net.input_size());
+      memory[k].candidates =
+          random_window(rng, window, cfg.net.input_size());
       memory[k].action = rng.uniform_index(window);
       memory[k].reward = rng.uniform(-1.0, 1.0);
       batched.record(memory[k].candidates, memory[k].action,
@@ -187,20 +256,133 @@ TEST(DQLPolicy, BatchedUpdateBitIdenticalToSerialReference) {
     }
     batched.update();
     const SerialUpdate expected = serial_update(serial, cfg.gamma, memory);
+    expect_matches_serial(batched, serial, expected,
+                          std::to_string(steps) + " steps");
+  }
+}
 
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.last_loss()),
-              std::bit_cast<std::uint64_t>(expected.loss))
+// The agent's order — select, then record the same window — lets the
+// update reuse each greedy pick's max Q; greedy and exploring picks mixed,
+// the result is still the serial algorithm's, bit for bit.
+TEST(DQLPolicy, SelectThenRecordBitIdenticalToSerialReference) {
+  const DQLConfig cfg = half_epsilon_config();
+  DQLPolicy batched(cfg, 23);
+  DQLPolicy serial = batched;
+  util::Rng rng(24);
+  for (const std::size_t steps : {1u, 2u, 5u, 37u}) {
+    const auto memory = select_and_record(batched, rng, steps);
+    batched.update();
+    const SerialUpdate expected = serial_update(serial, cfg.gamma, memory);
+    expect_matches_serial(batched, serial, expected,
+                          std::to_string(steps) + " steps");
+  }
+}
+
+// The update scores a next-state window only when its selection did not:
+// one forward_batch per exploring successor, plus one per TD chunk.
+TEST(DQLPolicy, UpdateScoresOnlyWindowsItsSelectionDidNot) {
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "telemetry compiled out";
+  DQLPolicy policy(half_epsilon_config(), 25);
+  util::Rng rng(26);
+  for (const std::size_t steps : {5u, 37u}) {
+    std::vector<bool> explored;
+    (void)select_and_record(policy, rng, steps, &explored);
+    std::size_t exploring_successors = 0;
+    for (std::size_t k = 1; k < steps; ++k)
+      exploring_successors += explored[k] ? 1 : 0;
+    EXPECT_GT(exploring_successors, 0u) << steps << " steps";
+    EXPECT_LT(exploring_successors, steps - 1) << steps << " steps";
+
+    const std::uint64_t before = batch_forwards();
+    policy.update();
+    const std::size_t td_chunks = (steps + 15) / 16;
+    EXPECT_EQ(batch_forwards() - before, exploring_successors + td_chunks)
         << steps << " steps";
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.last_grad_norm()),
-              std::bit_cast<std::uint64_t>(expected.grad_norm))
-        << steps << " steps";
-    const auto a = batched.network().parameters();
-    const auto b = serial.network().parameters();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
-                std::bit_cast<std::uint32_t>(b[i]))
-          << steps << " steps, parameter " << i;
+  }
+  obs::set_enabled(false);
+}
+
+// A write through network().parameters() after the selections makes
+// their Q stale: the update must score under the parameters it holds.
+TEST(DQLPolicy, ParameterWriteAfterSelectionIsRescored) {
+  const DQLConfig cfg = half_epsilon_config();
+  DQLPolicy batched(cfg, 27);
+  DQLPolicy serial = batched;
+  util::Rng rng(28);
+  const auto memory = select_and_record(batched, rng, 21);
+  for (DQLPolicy* policy : {&batched, &serial}) {
+    const auto params = policy->network().parameters();
+    for (std::size_t i = 0; i < params.size(); i += 5) params[i] *= 1.5f;
+  }
+  batched.update();
+  const SerialUpdate expected = serial_update(serial, cfg.gamma, memory);
+  expect_matches_serial(batched, serial, expected, "written parameters");
+}
+
+// record() of a window other than the one select_action last scored
+// carries no Q: the update scores it.
+TEST(DQLPolicy, RecordOfAnotherWindowIsRescored) {
+  const DQLConfig cfg = odd_shape_config();
+  DQLPolicy batched(cfg, 29);
+  DQLPolicy serial = batched;
+  util::Rng rng(30);
+  const std::size_t size = cfg.net.input_size();
+  std::vector<RecordedStep> memory(21);
+  for (std::size_t k = 0; k < memory.size(); ++k) {
+    const std::size_t window = 1 + (k * 5) % 9;
+    auto scored = random_window(rng, window, size);
+    memory[k].candidates = random_window(rng, window, size);
+    if (k % 3 == 1) {
+      // Differs from the scored window in one float of its last row.
+      memory[k].candidates = scored;
+      memory[k].candidates.back()[k % size] += 0.25f;
+    } else if (k % 3 == 2) {
+      // Scored, then a second window scored after it.
+      (void)batched.select_action(memory[k].candidates, rng, false);
+    }
+    (void)batched.select_action(scored, rng, /*explore=*/false);
+    memory[k].action = rng.uniform_index(window);
+    memory[k].reward = rng.uniform(-1.0, 1.0);
+    batched.record(memory[k].candidates, memory[k].action, memory[k].reward);
+  }
+  batched.update();
+  const SerialUpdate expected = serial_update(serial, cfg.gamma, memory);
+  expect_matches_serial(batched, serial, expected, "other windows");
+}
+
+// Pending transitions survive save_state/load_state without their
+// selection-time Q, and a network reloaded under them makes that Q stale;
+// either way the update scores under the parameters it holds.
+TEST(DQLPolicy, ReloadWithTransitionsPendingIsRescored) {
+  const DQLConfig cfg = half_epsilon_config();
+  util::Rng rng(32);
+  {
+    DQLPolicy source(cfg, 33);
+    DQLPolicy serial = source;
+    const auto memory = select_and_record(source, rng, 21);
+    util::BinaryWriter out;
+    source.save_state(out);
+    DQLPolicy restored(cfg, 34);
+    util::BinaryReader in(out.buffer());
+    restored.load_state(in);
+    ASSERT_EQ(restored.pending_steps(), memory.size());
+    restored.update();
+    const SerialUpdate expected = serial_update(serial, cfg.gamma, memory);
+    expect_matches_serial(restored, serial, expected, "restored policy");
+  }
+  {
+    DQLPolicy batched(cfg, 35);
+    const DQLPolicy other(cfg, 36);
+    util::BinaryWriter out;
+    other.network().save_state(out);
+    DQLPolicy serial = other;
+    const auto memory = select_and_record(batched, rng, 21);
+    util::BinaryReader in(out.buffer());
+    batched.network().load_state(in);
+    batched.update();
+    const SerialUpdate expected = serial_update(serial, cfg.gamma, memory);
+    expect_matches_serial(batched, serial, expected, "reloaded network");
   }
 }
 

@@ -89,6 +89,35 @@ TEST_P(PolicyHeadKinds, DeferredUpdateMatchesInPlaceUpdate) {
   EXPECT_EQ(reduced->epsilon(), in_place->epsilon());
 }
 
+// A deferred update takes no gradient norm (the round reports its
+// sink's reduced_norm()): last_grad_norm() keeps the last step's value
+// while the loss, update count and ε advance as usual.
+TEST_P(PolicyHeadKinds, DeferredUpdateLeavesGradNormUnchanged) {
+  const DrasAgent start(flush_only_config(GetParam()));
+  const sim::Trace trace = episode_trace();
+  const auto agent = start.clone_agent();
+  (void)sim::Simulator(8).run(trace, *agent);
+  ASSERT_EQ(agent->updates_done(), 1u);
+  const double stepped_norm = agent->last_update_grad_norm();
+  ASSERT_GT(stepped_norm, 0.0);
+  const double stepped_epsilon = agent->epsilon();
+
+  nn::GradientAccumulator sink(agent->network().parameter_count());
+  agent->set_gradient_sink(&sink);
+  (void)sim::Simulator(8).run(trace, *agent);
+  agent->set_gradient_sink(nullptr);
+  ASSERT_EQ(sink.updates(), 1u);
+  EXPECT_EQ(agent->updates_done(), 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(agent->last_update_loss()),
+            std::bit_cast<std::uint64_t>(sink.mean_loss()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(agent->last_update_grad_norm()),
+            std::bit_cast<std::uint64_t>(stepped_norm));
+  if (GetParam() == AgentKind::DQL) {
+    EXPECT_LT(agent->epsilon(), stepped_epsilon);
+  }
+  for (const float g : agent->network().gradients()) ASSERT_EQ(g, 0.0f);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothKinds, PolicyHeadKinds,
                          ::testing::Values(AgentKind::PG, AgentKind::DQL),
                          [](const auto& info) {
