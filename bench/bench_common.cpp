@@ -86,7 +86,6 @@ std::unique_ptr<rollout::RolloutPool> ObsSession::make_rollout_pool()
   rollout::RolloutOptions options;
   options.workers = rollout_workers_;
   options.batch = rollout_batch_;
-  options.tracer = session_->tracer();
   return std::make_unique<rollout::RolloutPool>(options);
 }
 
@@ -130,7 +129,7 @@ MethodSet::MethodSet(const Scenario& scenario) {
 namespace {
 std::vector<train::Jobset> build_bench_curriculum(
     const Scenario& scenario, std::size_t episodes,
-    std::size_t jobs_per_episode, std::uint64_t curriculum_seed) {
+    std::size_t jobs_per_episode) {
   const auto real = scenario.real_trace(jobs_per_episode * 4);
   train::CurriculumOptions options;
   // Short three-phase curriculum scaled to the episode budget.
@@ -139,29 +138,19 @@ std::vector<train::Jobset> build_bench_curriculum(
   options.synthetic_sets =
       std::max<std::size_t>(1, episodes - 2 * (episodes / 3));
   options.jobs_per_set = jobs_per_episode;
-  options.seed = curriculum_seed != 0
-                     ? curriculum_seed
-                     : util::derive_seed(scenario.seed, "bench-curriculum");
+  options.seed = util::derive_seed(scenario.seed, "bench-curriculum");
   return train::build_curriculum(scenario.model, real, options);
 }
 }  // namespace
 
 void train_dras_agent(core::DrasAgent& agent, const Scenario& scenario,
-                      std::size_t episodes, std::size_t jobs_per_episode,
-                      std::uint64_t curriculum_seed,
-                      rollout::RolloutPool* rollout,
-                      obs::RunRecorder* recorder,
-                      const sim::FaultConfig* faults) {
-  train::Curriculum curriculum(build_bench_curriculum(
-      scenario, episodes, jobs_per_episode, curriculum_seed));
+                      std::size_t episodes, std::size_t jobs_per_episode) {
+  train::Curriculum curriculum(
+      build_bench_curriculum(scenario, episodes, jobs_per_episode));
   train::TrainerOptions trainer_options;
   trainer_options.validate_each_episode = false;
-  if (faults != nullptr) trainer_options.faults = *faults;
   train::Trainer trainer(agent, scenario.preset.nodes, {}, trainer_options);
-  train::RunOptions run_options;
-  run_options.rollout = rollout;
-  run_options.run = recorder;
-  (void)trainer.run(curriculum, run_options);
+  (void)trainer.run(curriculum, {});
   agent.set_training(false);
 }
 
@@ -190,7 +179,7 @@ std::filesystem::path save_warm_start(const std::filesystem::path& dir,
 void MethodSet::train_agents(const Scenario& scenario, std::size_t episodes,
                              std::size_t jobs_per_episode) {
   train::Curriculum curriculum(
-      build_bench_curriculum(scenario, episodes, jobs_per_episode, 0));
+      build_bench_curriculum(scenario, episodes, jobs_per_episode));
   train::TrainerOptions trainer_options;
   trainer_options.validate_each_episode = false;
   for (core::DrasAgent* agent : {dras_pg_.get(), dras_dql_.get()}) {

@@ -80,20 +80,10 @@ class MethodSet {
 
 /// Train one DRAS agent on a short three-phase curriculum (§III-C) built
 /// from the scenario's stand-in real trace, then freeze it.  Shared by
-/// MethodSet::train_agents and the ablation benches so every experiment
-/// trains the same way.  A non-null `recorder` (ObsSession::run_recorder)
-/// gets every committed round appended to its rounds.jsonl — purely
-/// observational, results are unchanged.  A non-null `faults` trains the
-/// agent under injected node failures (sim/fault.h; per-episode streams
-/// derived from faults->seed) — pass rollout = nullptr with it, or build
-/// the pool with the same RolloutOptions::faults, since an existing
-/// pool's fault config cannot be changed here.
+/// the ablation and fairness benches so every experiment trains the
+/// same way.
 void train_dras_agent(core::DrasAgent& agent, const Scenario& scenario,
-                      std::size_t episodes, std::size_t jobs_per_episode,
-                      std::uint64_t curriculum_seed = 0,
-                      rollout::RolloutPool* rollout = nullptr,
-                      obs::RunRecorder* recorder = nullptr,
-                      const sim::FaultConfig* faults = nullptr);
+                      std::size_t episodes, std::size_t jobs_per_episode);
 
 /// Warm start: load the agent's parameters from the newest checkpoint
 /// under `<dir>/<agent-name>`.  Returns the checkpoint used, or nullopt

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
         // apply the reduced update — the frozen original never trains
         // in place.
         (void)rollout->collect(*agent, scenario.preset.nodes,
-                               std::span(&jobset, 1), e);
+                               std::span(&jobset, 1), e, {});
       } else {
         agent->set_training(true);
         dras::sim::Simulator sim(scenario.preset.nodes);

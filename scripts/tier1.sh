@@ -2,11 +2,8 @@
 # Tier-1 verification: the checks every PR must keep green.
 #
 #   1. Release build + full test suite (the ROADMAP.md tier-1 line).
-#   2. ASan+UBSan build (DRAS_SANITIZE=ON) running the telemetry,
-#      simulator, parallel-execution, nn-kernel/DQL, gradient-deposit,
-#      policy-head and serving-head tests — the subsystems with lock-free concurrency,
-#      thread pools, raw-fd I/O and vector loads over padded lanes,
-#      where sanitizers earn their keep.
+#   2. ASan+UBSan build (DRAS_SANITIZE=ON) running the sanitized subset
+#      of scripts/asan-tests.sh, the same subset CI's asan job runs.
 #
 # Usage: scripts/tier1.sh [--skip-asan]
 set -euo pipefail
@@ -25,10 +22,9 @@ if [[ "$skip_asan" == 1 ]]; then
   exit 0
 fi
 
-echo "=== tier-1: ASan+UBSan build + obs/sim/exec/nn/head tests ==="
+echo "=== tier-1: ASan+UBSan build + sanitized subset ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DDRAS_SANITIZE=ON
 cmake --build build-asan -j "$(nproc)" --target dras_tests
-ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-  -R 'Obs|EventTracer|DefaultTracer|Sink|Simulator|Json|ThreadPool|Parallel|Clone|TaskSeed|Wire|Socket|NetServer|NetClient|Chaos|Gemv|GemmBatch|Network|GradAccum|DQLPolicy|PolicyHead|PGPolicy\.Greedy|DecisionServiceTest'
+scripts/asan-tests.sh build-asan
 
 echo "=== tier-1: all green ==="

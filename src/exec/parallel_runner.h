@@ -38,21 +38,6 @@ namespace dras::exec {
                                       std::string_view stream,
                                       std::uint64_t task_index) noexcept;
 
-/// Per-task result slot for ParallelRunner::try_map: exactly one of
-/// `value` / `error` is set.  `message` carries the exception's what()
-/// so callers can report without rethrowing; `error` allows rethrowing
-/// the original exception when they want to.
-template <typename R>
-struct TaskOutcome {
-  std::optional<R> value;
-  std::exception_ptr error;
-  std::string message;
-
-  [[nodiscard]] bool ok() const noexcept { return !error; }
-  /// Rethrow the task's exception (only valid when !ok()).
-  [[noreturn]] void rethrow() const { std::rethrow_exception(error); }
-};
-
 class ParallelRunner {
  public:
   /// `jobs` = maximum concurrent tasks; 0 = hardware concurrency.
@@ -101,47 +86,6 @@ class ParallelRunner {
     }
     for (auto& slot : slots) results.push_back(std::move(*slot));
     return results;
-  }
-
-  /// Like map(), but a throwing task is *contained*: its exception lands
-  /// in that task's TaskOutcome slot instead of propagating, so one
-  /// poisoned task cannot take down the batch — every other task still
-  /// runs to completion and returns its result.  The serial (jobs <= 1)
-  /// path applies the same containment, and every failure is counted in
-  /// `exec.tasks.failed` either way.
-  template <typename Fn>
-  auto try_map(std::size_t count, Fn fn, std::string_view label = "task")
-      -> std::vector<TaskOutcome<std::invoke_result_t<Fn&, std::size_t>>> {
-    using R = std::invoke_result_t<Fn&, std::size_t>;
-    std::vector<TaskOutcome<R>> outcomes(count);
-    const auto run_one = [&fn, &outcomes](std::size_t i) {
-      try {
-        outcomes[i].value.emplace(fn(i));
-      } catch (...) {
-        outcomes[i].error = std::current_exception();
-        try {
-          std::rethrow_exception(outcomes[i].error);
-        } catch (const std::exception& e) {
-          outcomes[i].message = e.what();
-        } catch (...) {
-          outcomes[i].message = "unknown exception";
-        }
-        detail::note_task_failed();
-      }
-    };
-    if (jobs_ <= 1 || count <= 1) {
-      for (std::size_t i = 0; i < count; ++i) run_one(i);
-      return outcomes;
-    }
-    ThreadPool pool({std::min(jobs_, count), 0});
-    std::vector<std::future<void>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      futures.push_back(pool.submit([&run_one, i] { run_one(i); },
-                                    util::format("{} {}", label, i)));
-    }
-    for (auto& future : futures) future.get();
-    return outcomes;
   }
 
  private:

@@ -12,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "sim/simulator.h"
 #include "util/format.h"
 #include "util/logging.h"
 
@@ -47,8 +46,7 @@ struct SlotOutcome {
 }  // namespace
 
 RolloutPool::RolloutPool(RolloutOptions options)
-    : options_(options),
-      workers_(options.workers == 0 ? exec::default_concurrency()
+    : workers_(options.workers == 0 ? exec::default_concurrency()
                                     : options.workers),
       batch_(options.batch == 0 ? workers_ : options.batch) {}
 
@@ -56,11 +54,11 @@ RolloutPool::~RolloutPool() = default;
 
 RoundResult RolloutPool::collect(core::DrasAgent& agent, int total_nodes,
                                  std::span<const train::Jobset> slots,
-                                 std::size_t first_episode) {
+                                 std::size_t first_episode,
+                                 const sim::FaultConfig& faults) {
   RoundResult round;
   if (slots.empty()) return round;
-  obs::EventTracer* tracer =
-      options_.tracer != nullptr ? options_.tracer : obs::default_tracer();
+  obs::EventTracer* tracer = obs::default_tracer();
   const auto wall_start = std::chrono::steady_clock::now();
   const double trace_start =
       tracer != nullptr ? tracer->wall_seconds() : 0.0;
@@ -96,31 +94,14 @@ RoundResult RolloutPool::collect(core::DrasAgent& agent, int total_nodes,
         exec::task_seed(recovery_nonce, "rollout", first_episode + i);
     if (nonce == 0) nonce = 1;
     slot.clone->set_rng_nonce(nonce);
-    slot.clone->set_training(true);
     slot.clone->set_gradient_sink(&slot.grads);
-    sim::Simulator simulator(total_nodes);
-    if (options_.faults.enabled()) {
-      // One failure stream per global episode index — the serial
-      // trainer path derives the identical stream for this episode, so
-      // worker count never changes which nodes fail when.
-      sim::FaultConfig faults = options_.faults;
-      faults.seed =
-          exec::task_seed(options_.faults.seed, "fault", first_episode + i);
-      simulator.set_fault_config(faults);
-    }
-    const sim::SimulationResult sim_result =
-        simulator.run(slots[i].trace, *slot.clone);
+    slot.result = train::train_episode(*slot.clone, total_nodes, slots[i],
+                                       faults, first_episode + i);
     slot.clone->set_gradient_sink(nullptr);
 
     train::EpisodeResult& result = slot.result;
-    result.faults = sim_result.faults;
-    result.episode = first_episode + i;
-    result.jobset = slots[i].name;
-    result.phase = slots[i].phase;
-    result.training_reward = slot.clone->episode_reward();
     result.loss = slot.grads.mean_loss();
     result.grad_norm = slot.grads.reduced_norm();
-    result.epsilon = slot.clone->epsilon();
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       slot_start)

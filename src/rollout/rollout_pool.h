@@ -9,7 +9,8 @@
 // global episode index E:
 //
 //   1. clone_agent() — a deep copy, so the episode is a pure function
-//      of (round-start parameters, jobset trace, slot stream);
+//      of (round-start parameters, jobset trace, slot stream, fault
+//      stream);
 //   2. the clone's episode stream is exec::task_seed(nonce, "rollout",
 //      E + i) where `nonce` is the agent's recovery nonce — stable
 //      across worker counts, fresh after every divergence rollback;
@@ -17,7 +18,12 @@
 //      policy updates compute batch-mean gradients exactly as the
 //      legacy loop would, but deposit them instead of stepping;
 //   4. every metric the episode emits lands in a per-slot
-//      obs::MetricShard instead of the shared registry.
+//      obs::MetricShard instead of the shared registry;
+//   5. the episode runs through train::train_episode, the serial
+//      trainer's own episode runner, under the fault config the caller
+//      passes to collect() — Trainer::run passes TrainerOptions::faults,
+//      the run's one fault config — so slot i fails nodes exactly as
+//      serial episode E + i would.
 //
 // At the round boundary, on the calling thread, strictly in ascending
 // slot order (the reduction-order contract — float addition is not
@@ -47,10 +53,6 @@ namespace dras::exec {
 class ThreadPool;
 }  // namespace dras::exec
 
-namespace dras::obs {
-class EventTracer;
-}  // namespace dras::obs
-
 namespace dras::rollout {
 
 struct RolloutOptions {
@@ -62,16 +64,6 @@ struct RolloutOptions {
   /// count; reproducible runs across machines should pin it explicitly
   /// when workers is 0.  1 routes through the legacy per-episode path.
   std::size_t batch = 0;
-  /// Round events land here (non-owning); obs::default_tracer() when
-  /// null.
-  obs::EventTracer* tracer = nullptr;
-  /// Failure scenario for the rolled-out episodes (sim/fault.h).  Slot i
-  /// of a round starting at global episode E derives its failure stream
-  /// as exec::task_seed(faults.seed, "fault", E + i) — the same
-  /// derivation the serial trainer path uses for episode E + i — so
-  /// fault runs stay byte-identical at any worker count.  Keep this in
-  /// sync with TrainerOptions::faults.  Disabled by default.
-  sim::FaultConfig faults;
 };
 
 /// What one round produced: per-slot episode results (slot order) plus
@@ -96,17 +88,18 @@ class RolloutPool {
   [[nodiscard]] std::size_t batch() const noexcept { return batch_; }
 
   /// Roll out `slots` (episode indices first_episode, first_episode+1,
-  /// ...) on clones of `agent` and apply one reduced update to it.
-  /// Results come back in slot order regardless of scheduling;
-  /// validation fields are left zero for the caller to stamp.  `agent`
-  /// must outlive the call and is mutated only on the calling thread,
-  /// after every slot finished.
+  /// ...) on clones of `agent` under `faults` and apply one reduced
+  /// update to it.  Results come back in slot order regardless of
+  /// scheduling; validation fields are left zero for the caller to
+  /// stamp.  Round events go to obs::default_tracer().  `agent` must
+  /// outlive the call and is mutated only on the calling thread, after
+  /// every slot finished.
   RoundResult collect(core::DrasAgent& agent, int total_nodes,
                       std::span<const train::Jobset> slots,
-                      std::size_t first_episode);
+                      std::size_t first_episode,
+                      const sim::FaultConfig& faults);
 
  private:
-  RolloutOptions options_;
   std::size_t workers_;
   std::size_t batch_;
   /// Lazily created on the first parallel round; reused across rounds.

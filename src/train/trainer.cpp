@@ -54,23 +54,50 @@ Trainer::Trainer(core::DrasAgent& agent, int total_nodes,
       validation_(std::move(validation)),
       options_(std::move(options)) {}
 
-EpisodeResult Trainer::validate_on(const sim::Trace& trace,
-                                   core::DrasAgent& agent) const {
-  obs::EventTracer* tracer =
-      options_.tracer != nullptr ? options_.tracer : obs::default_tracer();
+sim::FaultStats simulate_episode(sim::Scheduler& scheduler, int total_nodes,
+                                 const sim::Trace& trace,
+                                 const sim::FaultConfig& faults,
+                                 std::size_t episode) {
+  sim::Simulator simulator(total_nodes);
+  if (faults.enabled()) {
+    sim::FaultConfig episode_faults = faults;
+    episode_faults.seed = exec::task_seed(faults.seed, "fault", episode);
+    simulator.set_fault_config(episode_faults);
+  }
+  return simulator.run(trace, scheduler).faults;
+}
+
+EpisodeResult train_episode(core::DrasAgent& agent, int total_nodes,
+                            const Jobset& jobset,
+                            const sim::FaultConfig& faults,
+                            std::size_t episode) {
+  EpisodeResult result;
+  result.episode = episode;
+  result.jobset = jobset.name;
+  result.phase = jobset.phase;
+  agent.set_training(true);
+  result.faults =
+      simulate_episode(agent, total_nodes, jobset.trace, faults, episode);
+  result.training_reward = agent.episode_reward();
+  result.epsilon = agent.epsilon();
+  return result;
+}
+
+EpisodeResult Trainer::validate() {
+  obs::EventTracer* tracer = obs::default_tracer();
   const auto wall_start = std::chrono::steady_clock::now();
   const double trace_start =
       tracer != nullptr ? tracer->wall_seconds() : 0.0;
 
   EpisodeResult result;
   result.episode = episodes_done_;
-  const bool was_training = agent.training();
-  agent.set_training(false);
+  const bool was_training = agent_.training();
+  agent_.set_training(false);
   sim::Simulator simulator(total_nodes_);
-  const sim::SimulationResult run = simulator.run(trace, agent);
-  result.validation_reward = agent.episode_reward();
+  const sim::SimulationResult run = simulator.run(validation_, agent_);
+  result.validation_reward = agent_.episode_reward();
   result.validation_summary = metrics::summarize(run);
-  agent.set_training(was_training);
+  agent_.set_training(was_training);
 
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_start)
@@ -83,73 +110,22 @@ EpisodeResult Trainer::validate_on(const sim::Trace& trace,
         "validate", trace_start, tracer->wall_seconds() - trace_start,
         {obs::targ("episode", static_cast<std::uint64_t>(episodes_done_)),
          obs::targ("validation_reward", result.validation_reward),
-         obs::targ("jobs", static_cast<std::uint64_t>(trace.size()))},
+         obs::targ("jobs", static_cast<std::uint64_t>(validation_.size()))},
         obs::kTrainPid);
   }
   return result;
 }
 
-EpisodeResult Trainer::validate() { return validate_on(validation_, agent_); }
-
-std::vector<EpisodeResult> Trainer::validate_many(
-    std::span<const sim::Trace> traces) {
-  exec::ParallelRunner runner(options_.validation_jobs);
-  if (runner.jobs() <= 1 || traces.size() <= 1) {
-    std::vector<EpisodeResult> results;
-    results.reserve(traces.size());
-    for (const sim::Trace& trace : traces)
-      results.push_back(validate_on(trace, agent_));
-    return results;
-  }
-  // Each task validates a private clone: validation is greedy and
-  // mutates only transient episode state, and the clone starts
-  // bit-identical to the live agent, so results match the serial path.
-  // Per-task spans parent to the caller's span (cross-thread, seq = the
-  // stable trace index) so --jobs N fan-out is visible in the trace;
-  // validate_on records each task's duration into the
-  // train.validation_wall_s hdr histogram.
-  const obs::SpanContext parent = obs::Span::current();
-  return runner.map(
-      traces.size(),
-      [&](std::size_t i) {
-        obs::Span task_span(
-            "validate.task", parent, i,
-            {obs::targ("trace", static_cast<std::uint64_t>(i))});
-        const auto clone = agent_.clone_agent();
-        return validate_on(traces[i], *clone);
-      },
-      "validate");
-}
-
 EpisodeResult Trainer::run_episode(const Jobset& jobset) {
-  obs::EventTracer* tracer =
-      options_.tracer != nullptr ? options_.tracer : obs::default_tracer();
+  obs::EventTracer* tracer = obs::default_tracer();
   const auto wall_start = std::chrono::steady_clock::now();
   const double trace_start =
       tracer != nullptr ? tracer->wall_seconds() : 0.0;
 
-  EpisodeResult result;
-  result.episode = episodes_done_;
-  result.jobset = jobset.name;
-  result.phase = jobset.phase;
-
-  agent_.set_training(true);
-  sim::Simulator simulator(total_nodes_);
-  if (options_.faults.enabled()) {
-    // One failure stream per global episode index, matching the rollout
-    // pool's per-slot derivation, so serial and batched collection see
-    // identical failures for the same episode.
-    sim::FaultConfig faults = options_.faults;
-    faults.seed =
-        exec::task_seed(options_.faults.seed, "fault", episodes_done_);
-    simulator.set_fault_config(faults);
-  }
-  const sim::SimulationResult sim_result = simulator.run(jobset.trace, agent_);
-  result.faults = sim_result.faults;
-  result.training_reward = agent_.episode_reward();
+  EpisodeResult result = train_episode(agent_, total_nodes_, jobset,
+                                       options_.faults, episodes_done_);
   result.loss = agent_.last_update_loss();
   result.grad_norm = agent_.last_update_grad_norm();
-  result.epsilon = agent_.epsilon();
 
   if (options_.validate_each_episode && !validation_.empty()) {
     const EpisodeResult validation = validate();
@@ -243,8 +219,7 @@ std::vector<EpisodeResult> Trainer::run(Curriculum& curriculum,
     save_checkpoint();
   }
 
-  obs::EventTracer* tracer =
-      options_.tracer != nullptr ? options_.tracer : obs::default_tracer();
+  obs::EventTracer* tracer = obs::default_tracer();
   const std::size_t start_episode = episodes_done_;
   // Episodes per round: 1 = the legacy per-episode loop; a rollout pool
   // with batch() > 1 switches to batched parallel collection.  Rounds
@@ -281,7 +256,7 @@ std::vector<EpisodeResult> Trainer::run(Curriculum& curriculum,
       const std::span<const Jobset> slots = curriculum.jobsets().subspan(
           curriculum.position(), std::min(round_size, remaining));
       rollout::RoundResult round = run_options.rollout->collect(
-          agent_, total_nodes_, slots, episodes_done_);
+          agent_, total_nodes_, slots, episodes_done_, options_.faults);
       episodes_done_ += round.episodes.size();
       batch = std::move(round.episodes);
       if (options_.validate_each_episode && !validation_.empty()) {

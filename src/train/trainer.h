@@ -24,7 +24,6 @@
 #include "train/curriculum.h"
 
 namespace dras::obs {
-class EventTracer;
 class RunRecorder;
 }  // namespace dras::obs
 
@@ -67,19 +66,10 @@ struct TrainerOptions {
   /// When set, a model snapshot is written per episode as
   /// "<dir>/<agent>-episode-<k>.bin".
   std::optional<std::filesystem::path> snapshot_dir;
-  /// Telemetry tracer for episode begin/end, loss/reward/epsilon and
-  /// snapshot-write events (non-owning).  Falls back to
-  /// obs::default_tracer() when null.
-  obs::EventTracer* tracer = nullptr;
-  /// Maximum concurrent validations in validate_many(); 1 = serial,
-  /// 0 = hardware concurrency.  Parallel validation evaluates a private
-  /// clone of the agent per trace, so results are bit-identical to the
-  /// serial path (see exec::ParallelRunner's determinism contract).
-  std::size_t validation_jobs = 1;
   /// Failure scenario injected into every *training* episode's simulator
-  /// (sim/fault.h).  Episode k derives its own failure stream as
-  /// exec::task_seed(faults.seed, "fault", k) — the same derivation the
-  /// rollout pool uses per slot — so fault runs stay byte-identical at
+  /// (sim/fault.h) — the run's one fault config: Trainer::run hands it to
+  /// the rollout pool with every round.  Each episode derives its failure
+  /// stream in simulate_episode(), so fault runs stay byte-identical at
   /// any worker count.  Validation always runs fault-free (the learning
   /// curve measures scheduling quality, not luck with failures).
   /// Disabled by default.
@@ -160,6 +150,28 @@ struct RunOptions {
   sim::FaultScenario* fault_scenario = nullptr;
 };
 
+/// Simulate one training episode: a fresh simulator for `total_nodes`
+/// runs `scheduler` over `trace`, and the run's failure accounting comes
+/// back.  When `faults` is enabled, episode `episode` (the global index)
+/// fails nodes from its own stream, exec::task_seed(faults.seed, "fault",
+/// episode), so the serial loop, every rollout slot and Decima-PG's
+/// training see identical failures for the same episode at any worker
+/// count.
+sim::FaultStats simulate_episode(sim::Scheduler& scheduler, int total_nodes,
+                                 const sim::Trace& trace,
+                                 const sim::FaultConfig& faults,
+                                 std::size_t episode);
+
+/// Train `agent` for one episode on `jobset` (simulate_episode) and fill
+/// the result fields every training path shares: episode, jobset, phase,
+/// training_reward, epsilon and faults.  Loss, grad norm and wall time
+/// are the caller's: the serial loop reads the agent's head, a rollout
+/// slot its gradient accumulator.
+EpisodeResult train_episode(core::DrasAgent& agent, int total_nodes,
+                            const Jobset& jobset,
+                            const sim::FaultConfig& faults,
+                            std::size_t episode);
+
 class Trainer {
  public:
   /// `validation` may be empty when options.validate_each_episode is off.
@@ -190,23 +202,11 @@ class Trainer {
 
   /// Greedy evaluation on the validation trace (no learning, no
   /// exploration).  The agent's training flag is restored afterwards.
-  /// Records its wall time and emits a "validate" event on the tracer.
+  /// Records its wall time and emits a "validate" event on
+  /// obs::default_tracer().
   [[nodiscard]] EpisodeResult validate();
 
-  /// Greedy evaluation on several traces, up to
-  /// options.validation_jobs at a time.  Results are indexed like
-  /// `traces` regardless of the degree of parallelism, and each parallel
-  /// validation runs a private clone of the agent, so the output matches
-  /// the serial path exactly.
-  [[nodiscard]] std::vector<EpisodeResult> validate_many(
-      std::span<const sim::Trace> traces);
-
  private:
-  /// Shared body of validate()/validate_many(): greedy evaluation of
-  /// `agent` on `trace` with wall-time + tracer + metrics accounting.
-  [[nodiscard]] EpisodeResult validate_on(const sim::Trace& trace,
-                                          core::DrasAgent& agent) const;
-
   core::DrasAgent& agent_;
   int total_nodes_;
   sim::Trace validation_;

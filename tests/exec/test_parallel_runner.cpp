@@ -9,8 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace dras::exec {
 namespace {
 
@@ -93,60 +91,6 @@ TEST(TaskSeed, IndependentOfRunnerWidth) {
     for (std::size_t i = 0; i < seeds.size(); ++i)
       EXPECT_EQ(seeds[i], task_seed(7, "sweep", i));
   }
-}
-
-TEST(ParallelRunner, TryMapContainsPoisonedTask) {
-  // One poisoned task must not take down the batch: every other task
-  // runs to completion and keeps its result, on both execution paths.
-  for (const std::size_t jobs : {1u, 4u}) {
-    ParallelRunner runner(jobs);
-    const auto outcomes = runner.try_map(5, [](std::size_t i) -> int {
-      if (i == 2) throw std::runtime_error("poisoned task 2");
-      return static_cast<int>(i) * 10;
-    });
-    ASSERT_EQ(outcomes.size(), 5u);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (i == 2) {
-        EXPECT_FALSE(outcomes[i].ok());
-        EXPECT_FALSE(outcomes[i].value.has_value());
-        EXPECT_EQ(outcomes[i].message, "poisoned task 2");
-        EXPECT_THROW(outcomes[i].rethrow(), std::runtime_error);
-      } else {
-        ASSERT_TRUE(outcomes[i].ok()) << "task " << i;
-        EXPECT_EQ(*outcomes[i].value, static_cast<int>(i) * 10);
-      }
-    }
-    // The runner (and a fresh pool) stays usable after containment.
-    const auto follow_up =
-        runner.map(3, [](std::size_t i) { return i + 1; });
-    EXPECT_EQ(follow_up, (std::vector<std::size_t>{1, 2, 3}));
-  }
-}
-
-TEST(ParallelRunner, TryMapContainsNonStdExceptionsToo) {
-  ParallelRunner runner(1);
-  const auto outcomes = runner.try_map(2, [](std::size_t i) -> int {
-    if (i == 1) throw 42;  // not derived from std::exception
-    return 7;
-  });
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].ok());
-  EXPECT_FALSE(outcomes[1].ok());
-  EXPECT_EQ(outcomes[1].message, "unknown exception");
-}
-
-TEST(ParallelRunner, TryMapCountsEachFailureOnce) {
-  obs::set_enabled(true);
-  auto& failed = obs::Registry::global().counter("exec.tasks.failed");
-  const auto before = failed.value();
-  ParallelRunner runner(4);
-  const auto outcomes = runner.try_map(6, [](std::size_t i) -> int {
-    if (i % 3 == 0) throw std::runtime_error("boom");
-    return 0;
-  });
-  obs::set_enabled(false);
-  ASSERT_EQ(outcomes.size(), 6u);
-  EXPECT_EQ(failed.value() - before, 2u);  // tasks 0 and 3
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "../test_helpers.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
@@ -17,6 +18,8 @@
 
 namespace dras::obs {
 namespace {
+
+using dras::testing::DefaultTracerScope;
 
 std::pair<std::unique_ptr<EventTracer>, StringSink*> make_string_tracer() {
   auto sink = std::make_unique<StringSink>();
@@ -42,15 +45,6 @@ std::string line_for(const std::string& text, const std::string& name) {
       return line;
   return {};
 }
-
-/// RAII default-tracer installation so a failing test cannot leak one.
-class DefaultTracerScope {
- public:
-  explicit DefaultTracerScope(EventTracer* tracer) {
-    set_default_tracer(tracer);
-  }
-  ~DefaultTracerScope() { set_default_tracer(nullptr); }
-};
 
 TEST(SpanId, DeterministicAndNeverZero) {
   const auto id = detail::span_id(42, "round", 3);

@@ -61,7 +61,7 @@ RunOutput run_training(core::AgentKind kind, std::size_t workers,
   train::RunOptions run_options;
   std::optional<RolloutPool> pool;
   if (workers != 0) {
-    pool.emplace(RolloutOptions{workers, batch, nullptr, {}});
+    pool.emplace(RolloutOptions{workers, batch});
     run_options.rollout = &*pool;
   }
   RunOutput out;
@@ -90,10 +90,10 @@ void expect_identical(const RunOutput& a, const RunOutput& b) {
 }
 
 TEST(RolloutPoolTest, ResolvesWorkerAndBatchDefaults) {
-  RolloutPool pool(RolloutOptions{4, 0, nullptr, {}});
+  RolloutPool pool(RolloutOptions{4, 0});
   EXPECT_EQ(pool.workers(), 4u);
   EXPECT_EQ(pool.batch(), 4u);  // batch 0 = resolved worker count
-  RolloutPool pinned(RolloutOptions{2, 8, nullptr, {}});
+  RolloutPool pinned(RolloutOptions{2, 8});
   EXPECT_EQ(pinned.workers(), 2u);
   EXPECT_EQ(pinned.batch(), 8u);
 }
@@ -127,8 +127,8 @@ TEST(RolloutPoolTest, WorkerCountNeverChangesResultsDQL) {
 TEST(RolloutPoolTest, RoundResultsComeBackInSlotOrder) {
   core::DrasAgent agent(tiny_agent_config(core::AgentKind::PG));
   const auto jobsets = tiny_jobsets(4);
-  RolloutPool pool(RolloutOptions{2, 4, nullptr, {}});
-  const RoundResult round = pool.collect(agent, kNodes, jobsets, 10);
+  RolloutPool pool(RolloutOptions{2, 4});
+  const RoundResult round = pool.collect(agent, kNodes, jobsets, 10, {});
   ASSERT_EQ(round.episodes.size(), 4u);
   for (std::size_t i = 0; i < round.episodes.size(); ++i) {
     EXPECT_EQ(round.episodes[i].episode, 10 + i);
@@ -142,9 +142,9 @@ TEST(RolloutPoolTest, RoundResultsComeBackInSlotOrder) {
 TEST(RolloutPoolTest, EmptySlotSpanLeavesAgentUntouched) {
   core::DrasAgent agent(tiny_agent_config(core::AgentKind::PG));
   const std::vector<float> before = params_of(agent);
-  RolloutPool pool(RolloutOptions{2, 4, nullptr, {}});
+  RolloutPool pool(RolloutOptions{2, 4});
   const RoundResult round =
-      pool.collect(agent, kNodes, std::span<const train::Jobset>{}, 0);
+      pool.collect(agent, kNodes, std::span<const train::Jobset>{}, 0, {});
   EXPECT_TRUE(round.episodes.empty());
   EXPECT_EQ(round.updates, 0u);
   EXPECT_EQ(params_of(agent), before);
@@ -165,11 +165,11 @@ TEST_F(RolloutObsTest, ShardedCountersMergeToSameTotalsAsSerial) {
   const auto jobsets = tiny_jobsets(4);
   const auto measure = [&](std::size_t workers) {
     core::DrasAgent agent(tiny_agent_config(core::AgentKind::PG));
-    RolloutPool pool(RolloutOptions{workers, 4, nullptr, {}});
+    RolloutPool pool(RolloutOptions{workers, 4});
     const std::uint64_t submitted_before = submitted.value();
     const std::uint64_t instances_before = instances.value();
     const std::uint64_t rounds_before = rounds.value();
-    (void)pool.collect(agent, kNodes, jobsets, 0);
+    (void)pool.collect(agent, kNodes, jobsets, 0, {});
     return std::array<std::uint64_t, 3>{
         submitted.value() - submitted_before,
         instances.value() - instances_before,
@@ -210,7 +210,7 @@ TEST_F(RolloutRecoveryTest, GuardedRolloutRecoversFromInjectedFault) {
     recovery_options.max_rollbacks = 3;
     recovery_options.lr_backoff = 0.5;
     robust::RecoveryPolicy recovery(recovery_options, manager);
-    RolloutPool pool(RolloutOptions{workers, 4, nullptr, {}});
+    RolloutPool pool(RolloutOptions{workers, 4});
     train::RunOptions run_options;
     run_options.rollout = &pool;
     run_options.checkpoints = &manager;
@@ -245,7 +245,7 @@ TEST_F(RolloutRecoveryTest, GuardedRolloutRecoversFromInjectedFault) {
 TEST_F(RolloutRecoveryTest, ResumeAtRoundBoundaryIsBitIdentical) {
   constexpr std::size_t kBatch = 2;
   const auto make_pool = [] {
-    return RolloutPool(RolloutOptions{2, kBatch, nullptr, {}});
+    return RolloutPool(RolloutOptions{2, kBatch});
   };
 
   // Uninterrupted reference run.

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/trace.h"
 #include "sim/job.h"
 #include "sim/scheduler.h"
 
@@ -39,5 +40,14 @@ inline sim::Job make_job(sim::JobId id, double submit, int size,
   job.priority = priority;
   return job;
 }
+
+/// RAII default-tracer installation so a failing test cannot leak one.
+class DefaultTracerScope {
+ public:
+  explicit DefaultTracerScope(obs::EventTracer* tracer) {
+    obs::set_default_tracer(tracer);
+  }
+  ~DefaultTracerScope() { obs::set_default_tracer(nullptr); }
+};
 
 }  // namespace dras::testing

@@ -61,9 +61,9 @@ struct FaultRun {
   std::vector<EpisodeResult> results;
 };
 
-/// Train a fresh tiny agent under `faults`; workers == 0 takes the
-/// legacy serial loop, otherwise a rollout pool with the same fault
-/// config drives the episodes.
+/// Train a fresh tiny agent under `faults`, set on the trainer alone;
+/// workers == 0 takes the legacy serial loop, otherwise a rollout pool
+/// built from `workers` and `batch` drives the episodes.
 FaultRun run_fault_training(core::AgentKind kind,
                             const sim::FaultConfig& faults,
                             std::size_t workers, std::size_t batch) {
@@ -79,7 +79,6 @@ FaultRun run_fault_training(core::AgentKind kind,
     rollout::RolloutOptions pool_options;
     pool_options.workers = workers;
     pool_options.batch = batch;
-    pool_options.faults = faults;
     pool.emplace(pool_options);
     run_options.rollout = &*pool;
   }
@@ -136,6 +135,18 @@ TEST(FaultTraining, WorkerCountNeverChangesResultsDQL) {
   const FaultRun four =
       run_fault_training(core::AgentKind::DQL, faults, 4, 4);
   expect_identical(one, four);
+}
+
+TEST(FaultTraining, RolloutRoundsTrainUnderTheTrainersFaults) {
+  // TrainerOptions::faults is the run's one fault config: a pool built
+  // from workers and batch alone still trains every round under it.
+  const auto faults = test_faults();
+  const FaultRun two = run_fault_training(core::AgentKind::PG, faults, 2, 4);
+  const FaultRun four =
+      run_fault_training(core::AgentKind::PG, faults, 4, 4);
+  EXPECT_GT(two.stats.node_failures, 0u);
+  EXPECT_GT(two.stats.checkpoints, 0u);
+  expect_identical(two, four);
 }
 
 TEST(FaultTraining, ZeroMtbfIsByteIdenticalToNoFaultConfig) {

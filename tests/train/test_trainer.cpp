@@ -6,6 +6,7 @@
 #include <memory>
 #include <sstream>
 
+#include "../test_helpers.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
 #include "sched/fcfs_easy.h"
@@ -15,6 +16,8 @@
 
 namespace dras::train {
 namespace {
+
+using dras::testing::DefaultTracerScope;
 
 core::DrasConfig tiny_agent_config(core::AgentKind kind) {
   core::DrasConfig cfg;
@@ -125,13 +128,13 @@ TEST(Trainer, EmitsEpisodeTraceEvents) {
   core::DrasAgent agent(tiny_agent_config(core::AgentKind::PG));
   TrainerOptions options;
   options.validate_each_episode = false;
-  options.tracer = &tracer;
+  const DefaultTracerScope scope(&tracer);
   Trainer trainer(agent, 16, {}, options);
   (void)trainer.run_episode(
       Jobset{"traced", JobsetPhase::Synthetic, tiny_trace(40, 41)});
   tracer.flush();
 
-  // The episode lane ('X' on the trainer pid) carries the learning
+  // The episode event ('X' on the trainer pid) carries the learning
   // telemetry as args.
   bool found_episode = false;
   std::istringstream lines(raw_sink->str());
@@ -139,6 +142,7 @@ TEST(Trainer, EmitsEpisodeTraceEvents) {
   while (std::getline(lines, line)) {
     const auto event = util::json::parse(line);
     if (event.find("ph")->as_string() != "X") continue;
+    if (event.find("name")->as_string() != "episode 0") continue;
     if (event.find("pid")->as_number() != obs::kTrainPid) continue;
     found_episode = true;
     const auto* args = event.find("args");
@@ -160,7 +164,7 @@ TEST(Trainer, ValidateRecordsWallTimeAndEmitsTraceEvent) {
   core::DrasAgent agent(tiny_agent_config(core::AgentKind::PG));
   TrainerOptions options;
   options.validate_each_episode = false;
-  options.tracer = &tracer;
+  const DefaultTracerScope scope(&tracer);
   Trainer trainer(agent, 16, tiny_trace(50, 60), options);
   const auto result = trainer.validate();
   tracer.flush();
@@ -184,55 +188,6 @@ TEST(Trainer, ValidateRecordsWallTimeAndEmitsTraceEvent) {
     EXPECT_DOUBLE_EQ(args->find("jobs")->as_number(), 50.0);
   }
   EXPECT_TRUE(found_validate);
-}
-
-TEST(Trainer, ValidateManyParallelMatchesSerial) {
-  std::vector<sim::Trace> traces;
-  for (int i = 0; i < 4; ++i) traces.push_back(tiny_trace(40, 70 + i));
-
-  core::DrasAgent serial_agent(tiny_agent_config(core::AgentKind::PG));
-  TrainerOptions serial_options;
-  serial_options.validate_each_episode = false;
-  serial_options.validation_jobs = 1;
-  Trainer serial_trainer(serial_agent, 16, {}, serial_options);
-  const auto serial = serial_trainer.validate_many(traces);
-
-  core::DrasAgent parallel_agent(tiny_agent_config(core::AgentKind::PG));
-  TrainerOptions parallel_options;
-  parallel_options.validate_each_episode = false;
-  parallel_options.validation_jobs = 4;
-  Trainer parallel_trainer(parallel_agent, 16, {}, parallel_options);
-  const auto parallel = parallel_trainer.validate_many(traces);
-
-  ASSERT_EQ(serial.size(), traces.size());
-  ASSERT_EQ(parallel.size(), traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    EXPECT_EQ(serial[i].validation_reward, parallel[i].validation_reward);
-    EXPECT_EQ(serial[i].validation_summary.avg_wait,
-              parallel[i].validation_summary.avg_wait);
-    EXPECT_EQ(serial[i].validation_summary.utilization,
-              parallel[i].validation_summary.utilization);
-    EXPECT_GT(parallel[i].wall_seconds, 0.0);
-  }
-}
-
-TEST(Trainer, ValidateManyDoesNotMutateAgent) {
-  std::vector<sim::Trace> traces;
-  for (int i = 0; i < 3; ++i) traces.push_back(tiny_trace(30, 80 + i));
-  core::DrasAgent agent(tiny_agent_config(core::AgentKind::DQL));
-  TrainerOptions options;
-  options.validate_each_episode = false;
-  options.validation_jobs = 3;
-  Trainer trainer(agent, 16, {}, options);
-  const std::vector<float> before(agent.network().parameters().begin(),
-                                  agent.network().parameters().end());
-  const double epsilon_before = agent.epsilon();
-  (void)trainer.validate_many(traces);
-  const auto after = agent.network().parameters();
-  for (std::size_t i = 0; i < before.size(); ++i)
-    EXPECT_EQ(before[i], after[i]);
-  EXPECT_EQ(agent.epsilon(), epsilon_before);
-  EXPECT_TRUE(agent.training());
 }
 
 TEST(Evaluator, SummarizesHeuristicRun) {

@@ -22,7 +22,6 @@
 #include "core/presets.h"
 #include "exec/async_writer.h"
 #include "exec/parallel_evaluator.h"
-#include "exec/parallel_runner.h"
 #include "metrics/fairness.h"
 #include "metrics/report.h"
 #include "nn/serialize.h"
@@ -112,10 +111,6 @@ int usage(const std::string& error = {}) {
       "                      shares, queue user diversity) to the DRAS\n"
       "                      state encoding; fingerprint discipline as\n"
       "                      --failure-features\n"
-      "  --exec-jobs N       worker threads for the evaluation grid\n"
-      "                      (0 = hardware concurrency; default 1; output\n"
-      "                      is identical for every N; --jobs is taken by\n"
-      "                      the trace length above)\n"
       "  --train-episodes E  episodes before evaluation for learned\n"
       "                      policies (default 10)\n"
       "  --rollout-workers N data-parallel rollout: collect training\n"
@@ -240,10 +235,6 @@ int main(int argc, char** argv) {
     const auto policy_name = args.get("policy", "fcfs");
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     const int depth = static_cast<int>(args.get_int("depth", 1));
-    const long long exec_jobs_raw = args.get_int("exec-jobs", 1);
-    const std::size_t exec_jobs =
-        exec_jobs_raw <= 0 ? dras::exec::default_concurrency()
-                           : static_cast<std::size_t>(exec_jobs_raw);
 
     // Failure scenario (sim/fault.h).  All-defaults leaves every code
     // path byte-identical to the fault-free simulator; the seed is
@@ -296,6 +287,7 @@ int main(int argc, char** argv) {
     const dras::core::RewardFunction reward(setup.preset.reward);
     std::unique_ptr<dras::sim::Scheduler> owned;
     dras::core::DrasAgent* trained_agent = nullptr;
+    dras::sched::DecimaPG* trained_decima = nullptr;
     const auto train_episodes =
         static_cast<std::size_t>(args.get_int("train-episodes", 10));
 
@@ -360,8 +352,8 @@ int main(int argc, char** argv) {
     // Fingerprint the *result-relevant* configuration: everything that
     // changes the trained parameters or the evaluated workload.  Worker
     // counts are deliberately excluded — results are byte-identical
-    // across --rollout-workers/--exec-jobs, so runs differing only in
-    // parallelism stay comparable in dras_report.  Built only for
+    // across --rollout-workers, so runs differing only in parallelism
+    // stay comparable in dras_report.  Built only for
     // --run-dir: reading --load etc. here would hide them from the
     // unknown-option check on runs that never use them.
     std::string canonical;
@@ -414,19 +406,25 @@ int main(int argc, char** argv) {
     // after the session so it is destroyed first (see RunSession).
     dras::util::InterruptGuard interrupt_guard;
 
+    // Training jobset e is regenerated from a per-episode derived seed,
+    // so jobsets are identical on every start and a resumed run only
+    // moves the curriculum cursor forward.
+    const auto training_trace = [&](std::size_t e) {
+      dras::workload::GenerateOptions gen;
+      gen.num_jobs = 400;
+      gen.seed = dras::util::derive_seed(seed, format("train-{}", e));
+      return dras::workload::generate_trace(setup.model, gen);
+    };
+    // Set by the DRAS policies from --rollout-workers/--rollout-batch.
+    std::optional<dras::rollout::RolloutOptions> rollout_options;
+
     const auto train_agent = [&](dras::core::DrasAgent& agent) {
-      // Jobsets are regenerated from per-episode derived seeds, so they
-      // are identical on every start and a resumed run only moves the
-      // curriculum cursor forward.
       std::vector<dras::train::Jobset> jobsets;
       jobsets.reserve(train_episodes);
       for (std::size_t e = 0; e < train_episodes; ++e) {
-        dras::workload::GenerateOptions gen;
-        gen.num_jobs = 400;
-        gen.seed = dras::util::derive_seed(seed, format("train-{}", e));
         jobsets.push_back(dras::train::Jobset{
             format("train-{}", e), dras::train::JobsetPhase::Synthetic,
-            dras::workload::generate_trace(setup.model, gen)});
+            training_trace(e)});
       }
       dras::train::Curriculum curriculum(std::move(jobsets));
 
@@ -441,15 +439,9 @@ int main(int argc, char** argv) {
       run_options.fault_scenario =
           faults_enabled ? &fault_scenario : nullptr;
       std::unique_ptr<dras::rollout::RolloutPool> rollout;
-      if (args.has("rollout-workers") || args.has("rollout-batch")) {
-        dras::rollout::RolloutOptions rollout_options;
-        rollout_options.workers =
-            static_cast<std::size_t>(args.get_int("rollout-workers", 1));
-        rollout_options.batch =
-            static_cast<std::size_t>(args.get_int("rollout-batch", 0));
-        rollout_options.faults = fault_config;
+      if (rollout_options) {
         rollout =
-            std::make_unique<dras::rollout::RolloutPool>(rollout_options);
+            std::make_unique<dras::rollout::RolloutPool>(*rollout_options);
         run_options.rollout = rollout.get();
       }
       std::unique_ptr<dras::ckpt::CheckpointManager> manager;
@@ -582,23 +574,7 @@ int main(int argc, char** argv) {
       auto cfg = setup.preset.agent_config(dras::core::AgentKind::PG, seed);
       cfg.total_nodes = nodes;
       auto decima = std::make_unique<dras::sched::DecimaPG>(cfg);
-      for (std::size_t e = 0; e < train_episodes; ++e) {
-        dras::workload::GenerateOptions gen;
-        gen.num_jobs = 400;
-        gen.seed = dras::util::derive_seed(seed, format("train-{}", e));
-        dras::sim::Simulator sim(nodes);
-        if (faults_enabled) {
-          // Same per-episode fault-stream derivation as the Trainer so
-          // decima training faces the failure process DRAS trains under.
-          auto episode_faults = fault_config;
-          episode_faults.seed =
-              dras::exec::task_seed(fault_config.seed, "fault", e);
-          sim.set_fault_config(std::move(episode_faults));
-        }
-        (void)sim.run(dras::workload::generate_trace(setup.model, gen),
-                      *decima);
-      }
-      decima->set_training(false);
+      trained_decima = decima.get();
       owned = std::move(decima);
     } else if (policy_name == "dras-pg" || policy_name == "dras-dql") {
       auto cfg = setup.preset.agent_config(
@@ -609,16 +585,33 @@ int main(int argc, char** argv) {
       cfg.failure_features = args.flag("failure-features");
       cfg.fairness_features = args.flag("fairness-features");
       cfg.reward_weights.fairness = args.get_double("fairness-weight", 0.0);
+      if (args.has("rollout-workers") || args.has("rollout-batch")) {
+        rollout_options = dras::rollout::RolloutOptions{
+            static_cast<std::size_t>(args.get_int("rollout-workers", 1)),
+            static_cast<std::size_t>(args.get_int("rollout-batch", 0))};
+      }
       auto agent = std::make_unique<dras::core::DrasAgent>(cfg);
-      train_agent(*agent);
       trained_agent = agent.get();
       owned = std::move(agent);
     } else {
       return usage(format("unknown policy '{}'", policy_name));
     }
 
+    // Every flag the policy uses has been read: reject typos before a
+    // single training episode runs or checkpoint is written.
     if (const auto unread = args.unused(); !unread.empty())
       return usage(format("unknown option --{}", unread.front()));
+
+    if (trained_decima != nullptr) {
+      // Decima-PG trains on DRAS's jobsets under the same per-episode
+      // failure streams.
+      for (std::size_t e = 0; e < train_episodes; ++e)
+        (void)dras::train::simulate_episode(*trained_decima, nodes,
+                                            training_trace(e), fault_config,
+                                            e);
+      trained_decima->set_training(false);
+    }
+    if (trained_agent != nullptr) train_agent(*trained_agent);
 
     if (dras::util::InterruptGuard::interrupted()) {
       std::cerr << "interrupted; training state checkpointed, skipping "
@@ -634,16 +627,16 @@ int main(int argc, char** argv) {
       dras::nn::save_network_file(save_model, trained_agent->network());
     }
 
-    // Run through the parallel evaluator.  dras_sim evaluates a single
-    // (trace, policy) cell, so any --exec-jobs value takes the serial
-    // path and the output is identical for every N.
+    // Run through the parallel evaluator: one (trace, policy) cell on
+    // the serial path, which still records the eval.cell span and the
+    // eval.task_wall_s metric.
     dras::train::EvalOptions eval_options;
     eval_options.reward = &reward;
     eval_options.reservation_depth = depth;
     eval_options.faults = fault_config;
     const dras::sim::Trace* traces[] = {&trace};
     dras::sim::Scheduler* policies[] = {owned.get()};
-    const auto evaluations = dras::exec::ParallelEvaluator(exec_jobs)
+    const auto evaluations = dras::exec::ParallelEvaluator(1)
                                  .evaluate_grid(nodes, traces, policies,
                                                 eval_options);
     const auto& evaluation = evaluations.front();
