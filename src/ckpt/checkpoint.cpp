@@ -248,8 +248,8 @@ std::string frame_payload(std::string_view payload) {
   return bytes;
 }
 
-std::string unframe_payload(std::string_view bytes,
-                            std::uint32_t* format_version) {
+std::string_view unframe_payload(std::string_view bytes,
+                                 std::uint32_t* format_version) {
   constexpr std::size_t kHeader = 8 + sizeof(std::uint32_t);
   constexpr std::size_t kTrailer = sizeof(std::uint32_t);
   if (bytes.size() < kHeader + kTrailer)
@@ -280,7 +280,7 @@ std::string unframe_payload(std::string_view bytes,
         version, kFormatVersion));
   if (format_version != nullptr) *format_version = version;
 
-  return std::string(checked.substr(kHeader));
+  return checked.substr(kHeader);
 }
 
 void write_checkpoint_file(const std::filesystem::path& path,
@@ -299,7 +299,7 @@ void read_checkpoint_file(const std::filesystem::path& path,
                      e.what()));
   }
   std::uint32_t version = 0;
-  const std::string payload = unframe_payload(bytes, &version);
+  const std::string_view payload = unframe_payload(bytes, &version);
   decode_checkpoint(payload, state, version);
 }
 

@@ -143,11 +143,13 @@ void decode_checkpoint(std::string_view payload, const TrainingState& state,
 /// Wrap a payload in magic + version + CRC framing.
 [[nodiscard]] std::string frame_payload(std::string_view payload);
 
-/// Verify framing (magic, version, checksum) and return the payload.
-/// Accepts format versions 1..kFormatVersion; when `format_version` is
-/// non-null it receives the stored version so callers can decode
-/// version-appropriately.  Throws CheckpointError on any framing defect.
-[[nodiscard]] std::string unframe_payload(
+/// Verify framing (magic, version, checksum) and return the payload: a
+/// view into `bytes`, valid while they are, so a load holds the file
+/// once, not twice.  Accepts format versions 1..kFormatVersion; when
+/// `format_version` is non-null it receives the stored version so
+/// callers can decode version-appropriately.  Throws CheckpointError on
+/// any framing defect.
+[[nodiscard]] std::string_view unframe_payload(
     std::string_view bytes, std::uint32_t* format_version = nullptr);
 
 /// encode + frame + util::atomic_write_file: the file either appears

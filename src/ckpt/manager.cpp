@@ -192,8 +192,7 @@ void load_agent_from_checkpoint(const std::filesystem::path& path,
     throw CheckpointError(util::format("cannot read checkpoint {}: {}",
                                        path.string(), e.what()));
   }
-  const std::string payload = unframe_payload(bytes);
-  util::BinaryReader in(payload);
+  util::BinaryReader in(unframe_payload(bytes));
   // "AGNT" leads the payload in every format version; the sections after
   // it (trainer cursor, telemetry, recovery, ...) are deliberately left
   // unread — a warm start adopts the parameters, not the run.

@@ -76,11 +76,12 @@ class Network {
   /// (B × input_size() floats).  Writes B × outputs() floats into `outputs`
   /// (sample-major) and returns nothing else.  Row b is bit-identical to
   /// forward(inputs[b]) — the batch dimension only reorders loops so each
-  /// weight row is streamed once per batch (see ops::gemm_batch).  Uses
-  /// dedicated scratch buffers: it does NOT touch the activation caches,
-  /// so an in-flight forward()/backward() pair is unaffected.
+  /// weight row is streamed once per batch (see ops::gemm_batch).  Its
+  /// activations live in per-thread scratch (grown on demand, never
+  /// shrunk), so it does NOT touch the activation caches or a retained
+  /// batch, and any number of threads may call it on one network at once.
   void forward_batch(std::span<const float> inputs, std::size_t batch,
-                     std::span<float> outputs);
+                     std::span<float> outputs) const;
 
   /// forward_batch plus activation retention: keeps every sample's
   /// pre- and post-activations so stage_batch_sample() can later make
@@ -189,17 +190,23 @@ class Network {
   // Backward scratch.
   std::vector<float> g_fc2_post_, g_fc2_pre_, g_fc1_post_, g_fc1_pre_,
       g_conv_;
-  void forward_batch_impl(std::span<const float> inputs, std::size_t batch,
-                          std::span<float> outputs, bool retain);
 
-  // forward_batch scratch (grown on demand, never shrunk); kept separate
-  // from the training caches above so batched inference can interleave
-  // with a forward()/backward() pair.
-  std::vector<float> batch_conv_, batch_fc1_, batch_fc2_, batch_out_;
-  // Retention extras (forward_batch_retained only): the sample-major
-  // input copy and the pre-activation snapshots taken before the
-  // in-place leaky ReLU destroys them.
-  std::vector<float> batch_input_, batch_fc1_pre_, batch_fc2_pre_;
+  // A batched forward's activations, sample-minor ([feature][batch])
+  // between layers, grown on demand and never shrunk.  The
+  // pre-activation copies (taken before the in-place leaky ReLU destroys
+  // them) are filled only for a retained batch.
+  struct BatchActivations {
+    std::vector<float> conv, fc1, fc2, out;
+    std::vector<float> fc1_pre, fc2_pre;
+  };
+  void forward_batch_into(std::span<const float> inputs, std::size_t batch,
+                          std::span<float> outputs, BatchActivations& acts,
+                          bool retain) const;
+
+  // forward_batch_retained's activations and sample-major input copy,
+  // kept for stage_batch_sample().
+  BatchActivations retained_;
+  std::vector<float> batch_input_;
   std::size_t retained_batch_ = 0;  ///< 0 = no retained batch live.
   bool has_forward_ = false;
 };

@@ -10,18 +10,12 @@
 namespace dras::obs {
 
 namespace detail {
-#if DRAS_OBS_COMPILED
 std::atomic<bool> g_enabled{false};
-#endif
 thread_local MetricShard* t_shard = nullptr;
 }  // namespace detail
 
 void set_enabled(bool on) noexcept {
-#if DRAS_OBS_COMPILED
   detail::g_enabled.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 // ---------------------------------------------------------------------------

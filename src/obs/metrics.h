@@ -5,11 +5,7 @@
 //   1. Near-zero cost when telemetry is disabled.  Every hot operation
 //      (Counter::add, HdrHistogram::observe, ScopedTimer) first checks one
 //      relaxed atomic bool; when it is false the operation touches no
-//      shared state, performs no allocation and reads no clock.  A whole
-//      translation unit can additionally compile the subsystem out by
-//      defining DRAS_OBS_COMPILED=0 (CMake option -DDRAS_OBS=OFF), which
-//      turns `enabled()` into `constexpr false` so the compiler deletes
-//      the instrumentation branches entirely.
+//      shared state, performs no allocation and reads no clock.
 //   2. Thread safety.  Metric values are atomics; registration takes a
 //      mutex but instruments hold stable pointers, so steady-state use is
 //      lock-free.
@@ -36,10 +32,6 @@
 #include <vector>
 
 #include "obs/hdr_histogram.h"
-
-#ifndef DRAS_OBS_COMPILED
-#define DRAS_OBS_COMPILED 1
-#endif
 
 namespace dras::obs {
 
@@ -102,9 +94,7 @@ class MetricShard {
 };
 
 namespace detail {
-#if DRAS_OBS_COMPILED
 extern std::atomic<bool> g_enabled;
-#endif
 /// The active shard of the current thread (null = write through to the
 /// shared instruments).  Managed by ShardScope; checked only inside the
 /// enabled() branch, so the disabled fast path is untouched.
@@ -130,14 +120,9 @@ class ShardScope {
 /// Runtime master switch; starts disabled.
 void set_enabled(bool on) noexcept;
 
-/// Is telemetry active?  One relaxed load; `constexpr false` when the
-/// subsystem is compiled out.
+/// Is telemetry active?  One relaxed load.
 [[nodiscard]] inline bool enabled() noexcept {
-#if DRAS_OBS_COMPILED
   return detail::g_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 /// Monotonically increasing event count.

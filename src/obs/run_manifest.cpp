@@ -3,7 +3,6 @@
 #include <chrono>
 #include <sstream>
 
-#include "obs/metrics.h"  // DRAS_OBS_COMPILED for the build stanza
 #include "util/format.h"
 #include "util/fs.h"
 #include "util/json.h"
@@ -136,7 +135,6 @@ std::string RunRecorder::manifest_json_locked(bool completed) const {
 #else
       << ",\"debug\":true"
 #endif
-      << ",\"obs_compiled\":" << (DRAS_OBS_COMPILED ? "true" : "false")
       << '}';
   out << util::format(",\"started_unix\":{},\"wall_seconds\":{}",
                       started_unix_,

@@ -83,11 +83,12 @@ std::vector<float> pack_states(
 /// row per candidate for DQL) go through one forward_batch, then each
 /// request's outputs go through its policy's greedy rule —
 /// PGPolicy::greedy_index or DQLPolicy::greedy_index, the rules the
-/// trainer-side greedy paths use.
-void decide(core::DrasAgent& agent,
-            std::span<const DecisionRequest* const> requests,
-            std::span<std::size_t> picks) {
-  nn::Network& net = agent.network();
+/// trainer-side greedy paths use.  The requests must have passed
+/// validate_request().
+void decide_batch(const core::DrasAgent& agent,
+                  std::span<const DecisionRequest* const> requests,
+                  std::span<std::size_t> picks) {
+  const nn::Network& net = agent.network();
   const std::size_t in = net.config().input_size();
   const std::size_t out = net.config().outputs;
   const std::vector<float> inputs = pack_states(requests);
@@ -149,17 +150,13 @@ std::future<Decision> DecisionService::submit(DecisionRequest request) {
 
 void DecisionService::install(std::shared_ptr<const ModelSnapshot> snapshot) {
   if (!snapshot) throw std::invalid_argument("install(nullptr)");
-  // One replica per worker, cloned before the swap: no batch waits on it.
-  std::vector<std::unique_ptr<core::DrasAgent>> replicas(options_.workers);
-  for (auto& replica : replicas) replica = snapshot->make_replica();
   {
     // The swap is an O(1) exchange under the queue mutex — submitters
     // and batch-closers contend on the same lock for microseconds, never
-    // on a model load or copy (both happened before this point).
+    // on a model load (it happened before this point).  The previous
+    // snapshot dies with its last in-flight batch, outside the lock.
     std::lock_guard lock(mutex_);
-    model_ = std::move(snapshot);
-    ++model_generation_;
-    spare_replicas_.swap(replicas);  // unclaimed old spares die unlocked
+    model_.swap(snapshot);
   }
   swaps_.fetch_add(1, std::memory_order_relaxed);
   ServeMetrics::get().swaps.add(1);
@@ -195,12 +192,6 @@ DecisionService::Stats DecisionService::stats() const {
 }
 
 void DecisionService::worker_loop(std::size_t /*worker_index*/) {
-  // Per-worker model replica: taken from install()'s spares at this
-  // worker's first batch after each install() — told apart by generation,
-  // as a new snapshot may reuse a freed one's address — freed unlocked.
-  std::unique_ptr<core::DrasAgent> replica;
-  std::unique_ptr<core::DrasAgent> retired;
-  std::uint64_t replica_generation = 0;
   std::vector<Pending> batch;
   for (;;) {
     std::shared_ptr<const ModelSnapshot> snapshot;
@@ -243,25 +234,19 @@ void DecisionService::worker_loop(std::size_t /*worker_index*/) {
         queue_.pop_front();
       }
       snapshot = model_;
-      if (replica_generation != model_generation_) {
-        retired = std::exchange(replica, std::move(spare_replicas_.back()));
-        spare_replicas_.pop_back();
-        replica_generation = model_generation_;
-      }
       batch_id = next_batch_id_++;
       left_behind = queue_.size();
       ServeMetrics::get().queue_depth.set(static_cast<double>(left_behind));
     }
     if (left_behind > 0) cv_.notify_one();
-    retired.reset();
-    serve_batch(batch, *snapshot, *replica, batch_id);
+    serve_batch(batch, *snapshot, batch_id);
   }
 }
 
 void DecisionService::serve_batch(std::vector<Pending>& batch,
                                   const ModelSnapshot& snapshot,
-                                  core::DrasAgent& replica,
                                   std::uint64_t batch_id) {
+  const core::DrasAgent& agent = snapshot.agent();
   ServeMetrics& metrics = ServeMetrics::get();
   obs::Span batch_span(
       "serve.batch", batch.front().span, batch_id,
@@ -277,7 +262,7 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
   valid_slots.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     try {
-      validate_request(replica, batch[i].request);
+      validate_request(agent, batch[i].request);
       valid_requests.push_back(&batch[i].request);
       valid_slots.push_back(i);
     } catch (const std::exception&) {
@@ -291,7 +276,7 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
         "serve.forward",
         {obs::targ("rows", static_cast<std::uint64_t>(valid_requests.size()))},
         &metrics.batch_forward_us);
-    decide(replica, valid_requests, picks);
+    decide_batch(agent, valid_requests, picks);
   }
 
   // Count the batch before completing any of its futures, so stats()
@@ -323,6 +308,15 @@ void DecisionService::serve_batch(std::vector<Pending>& batch,
     metrics.request_latency_us.observe(decision.latency_us);
     pending.promise.set_value(decision);
   }
+}
+
+std::size_t decide(const core::DrasAgent& agent,
+                   const DecisionRequest& request) {
+  validate_request(agent, request);
+  const DecisionRequest* const requests[] = {&request};
+  std::size_t pick = 0;
+  decide_batch(agent, requests, std::span<std::size_t>(&pick, 1));
+  return pick;
 }
 
 std::size_t reference_decision(core::DrasAgent& agent,

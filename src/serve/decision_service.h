@@ -13,11 +13,13 @@
 // decision is bit-identical to the in-trainer decision from the same
 // snapshot (the determinism oracle, enforced in tests and the bench).
 //
-// Hot swap: install() clones one DrasAgent replica per worker, then
-// flips a shared_ptr under the queue mutex — an O(1) exchange, so
-// requests never stall on a swap.  A worker takes its replica of the
-// new snapshot at its next batch; in-flight batches finish on the old
-// replica.  Every Decision carries the snapshot version that produced it.
+// Hot swap: install() flips a shared_ptr under the queue mutex — an
+// O(1) exchange, so requests never stall on a swap.  Every worker
+// forwards through the snapshot's own agent, shared read-only (a const
+// forward_batch keeps its activations per thread), so a swap copies no
+// model.  A worker takes the new snapshot at its next batch; in-flight
+// batches finish on the old one, which it keeps alive until they do.
+// Every Decision carries the snapshot version that produced it.
 //
 // Telemetry: counters serve.requests / serve.batches / serve.swaps /
 // serve.failures, gauge serve.queue_depth, hdr histograms
@@ -54,7 +56,7 @@ struct BatchPolicy {
 
 struct ServiceOptions {
   BatchPolicy policy;
-  /// Inference worker threads, each with a private model replica.
+  /// Inference worker threads, all serving the one installed snapshot.
   std::size_t workers = 1;
 };
 
@@ -89,9 +91,9 @@ class DecisionService {
   /// the future fails with std::runtime_error.
   std::future<Decision> submit(DecisionRequest request);
 
-  /// Clone one replica of `snapshot` per worker, then atomically make it
-  /// the serving model (shared_ptr flip under the queue mutex).  In-flight
-  /// batches complete on the previous snapshot; later batches use it.
+  /// Atomically make `snapshot` the serving model (shared_ptr flip under
+  /// the queue mutex; nothing is copied).  In-flight batches complete on
+  /// the previous snapshot; later batches use it.
   void install(std::shared_ptr<const ModelSnapshot> snapshot);
 
   [[nodiscard]] std::shared_ptr<const ModelSnapshot> current_snapshot() const;
@@ -120,8 +122,7 @@ class DecisionService {
 
   void worker_loop(std::size_t worker_index);
   void serve_batch(std::vector<Pending>& batch,
-                   const ModelSnapshot& snapshot, core::DrasAgent& replica,
-                   std::uint64_t batch_id);
+                   const ModelSnapshot& snapshot, std::uint64_t batch_id);
 
   ServiceOptions options_;
 
@@ -129,9 +130,6 @@ class DecisionService {
   std::condition_variable cv_;
   std::deque<Pending> queue_;
   std::shared_ptr<const ModelSnapshot> model_;
-  std::uint64_t model_generation_ = 0;  // install() calls so far
-  // install()'s replicas of model_, one per worker not yet holding one.
-  std::vector<std::unique_ptr<core::DrasAgent>> spare_replicas_;
   bool stopping_ = false;
   std::uint64_t next_batch_id_ = 0;
 
@@ -144,11 +142,20 @@ class DecisionService {
   std::atomic<std::uint64_t> max_batch_{0};
 };
 
+/// The service's decision for one request on `agent`, outside any
+/// batch: validated exactly as submit() validates it (throws
+/// std::invalid_argument when `request` does not fit the network), then
+/// decided by the same batched head.  Safe to call on an agent other
+/// threads are serving from.
+[[nodiscard]] std::size_t decide(const core::DrasAgent& agent,
+                                 const DecisionRequest& request);
+
 /// The decision the trainer-side greedy policy makes for `request` on
 /// `agent` — PGPolicy::greedy_action / DQLPolicy::select_action with
-/// exploration off.  The service's batched path must (and does) return
-/// bit-identical indices; tests and the bench assert it through this
-/// oracle.
+/// exploration off, on the single-sample path.  An independent oracle,
+/// not a serving path: the service's batched head must (and does)
+/// return bit-identical indices, and tests and the benches assert it
+/// through this function.  It does not validate `request`.
 [[nodiscard]] std::size_t reference_decision(core::DrasAgent& agent,
                                              const DecisionRequest& request);
 

@@ -18,8 +18,10 @@
 //   3. Circuit breaker → degraded mode.  After `breaker_threshold`
 //      consecutive decide() failures the breaker opens: for
 //      `breaker_cooldown` every call is served locally by the fallback
-//      model (serve::reference_decision on a replica of the snapshot
-//      given to set_fallback) and tagged degraded=true.  After the
+//      model (serve::decide, the service's own validated head, on the
+//      snapshot given to set_fallback) and tagged degraded=true.  A
+//      request the service would reject throws RequestRejected here
+//      too, as the server's BadRequest does.  After the
 //      cooldown one half-open probe goes to the server; success closes
 //      the breaker (fail-back), failure re-opens it.  Without a
 //      fallback installed, exhausted retries throw TransportError —
@@ -42,10 +44,6 @@
 #include "util/rng.h"
 #include "util/socket.h"
 
-namespace dras::core {
-class DrasAgent;
-}
-
 namespace dras::serve::net {
 
 /// Retries exhausted (or breaker open) and no fallback installed.
@@ -54,7 +52,8 @@ class TransportError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Server answered BadRequest: deterministic, not retried, no fallback.
+/// Server answered BadRequest, or, in degraded mode, the fallback's
+/// validation refused the request: deterministic, never retried.
 class RequestRejected : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -79,7 +78,7 @@ struct ClientOptions {
 
 struct NetDecision {
   std::size_t job_index = 0;
-  std::uint64_t model_version = 0;  ///< 0 when served by the fallback.
+  std::uint64_t model_version = 0;  ///< Snapshot that answered (either side).
   bool degraded = false;            ///< true = local fallback answered.
   std::uint32_t batch_size = 0;     ///< Server-side batch (0 if degraded).
   std::uint32_t attempts = 1;       ///< Attempts this decision consumed.
@@ -95,8 +94,8 @@ class DecisionClient {
   DecisionClient& operator=(const DecisionClient&) = delete;
 
   /// Install the local fallback model for degraded mode.  The client
-  /// keeps a private replica; `snapshot` may be hot-swapped later by
-  /// calling again.
+  /// decides on the snapshot itself (shared read-only, no copy);
+  /// `snapshot` may be hot-swapped later by calling again.
   void set_fallback(std::shared_ptr<const ModelSnapshot> snapshot);
 
   /// One decision, always (see the ladder above).  Thread-safe
@@ -146,7 +145,6 @@ class DecisionClient {
   std::uint64_t next_request_id_ = 0;
 
   std::shared_ptr<const ModelSnapshot> fallback_;
-  std::unique_ptr<core::DrasAgent> fallback_replica_;
 
   // Breaker state (guarded by mutex_ except the open flag for readers).
   std::size_t consecutive_failures_ = 0;

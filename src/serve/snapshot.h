@@ -1,12 +1,12 @@
 // An immutable, versioned serving model loaded from a checkpoint.
 //
 // A ModelSnapshot is the unit the hot-swap protocol moves around: the
-// ModelWatcher loads one from the newest checkpoint file, the
-// DecisionService clones a private replica per inference worker and
-// flips a shared_ptr to it, so batched forwards never share mutable
-// network scratch across threads.  The snapshot itself is never
-// forwarded through after construction — it is a frozen parameter
-// source, safe to share read-only between any number of workers.
+// ModelWatcher loads one from the newest checkpoint file and the
+// DecisionService flips a shared_ptr to it.  It is the only model
+// serving reads: every inference worker and the client's degraded
+// fallback decide on agent() directly, shared read-only, through the
+// const batched forward (its activations are per thread), so a swap
+// copies nothing.
 //
 // The version is the episode number encoded in the checkpoint filename
 // (ckpt-<episode>.dras), which is exactly the trainer's progress
@@ -43,15 +43,16 @@ class ModelSnapshot {
   }
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-  /// Deep copy for one inference worker: parameters and the (disabled)
-  /// training flag carry over, so replica decisions are bit-identical
-  /// to decisions made directly on the loaded agent.
+  /// A private deep copy for serve::reference_decision, the
+  /// single-sample oracle that needs a mutable agent: parameters and the
+  /// (disabled) training flag carry over, so its decisions are
+  /// bit-identical to decisions made on agent().  No serving path uses it.
   [[nodiscard]] std::unique_ptr<core::DrasAgent> make_replica() const {
     return agent_->clone_agent();
   }
 
-  /// The pristine loaded agent (single-threaded use only — tests and
-  /// the in-trainer determinism oracle).
+  /// The loaded agent, frozen.  Any number of threads may serve from it
+  /// at once through its const interface (serve::decide).
   [[nodiscard]] const core::DrasAgent& agent() const noexcept {
     return *agent_;
   }

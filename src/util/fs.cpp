@@ -88,6 +88,11 @@ std::string read_file(const std::filesystem::path& path,
     throw std::runtime_error(
         format("cannot open '{}' for reading", path.string()));
   std::string contents;
+  // One allocation for the whole file: growing by 64 KB appends would
+  // re-allocate and copy it at every doubling.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec && size <= max_bytes) contents.reserve(size);
   char chunk[1 << 16];
   while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
     contents.append(chunk, static_cast<std::size_t>(in.gcount()));

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+
 #include "util/format.h"
-#include <unordered_set>
 
 namespace dras::workload {
 
@@ -71,29 +71,6 @@ std::vector<std::size_t> runtime_histogram(const sim::Trace& trace,
     ++histogram[slot];
   }
   return histogram;
-}
-
-sim::Trace filter_trace(const sim::Trace& trace,
-                        const std::function<bool(const sim::Job&)>& keep) {
-  sim::Trace filtered;
-  filtered.reserve(trace.size());
-  std::unordered_set<sim::JobId> kept_ids;
-  for (const sim::Job& job : trace) {
-    if (!keep(job)) continue;
-    filtered.push_back(job);
-    kept_ids.insert(job.id);
-  }
-  for (sim::Job& job : filtered) {
-    std::erase_if(job.dependencies, [&](sim::JobId dep) {
-      return !kept_ids.contains(dep);
-    });
-  }
-  return filtered;
-}
-
-sim::Trace filter_min_size(const sim::Trace& trace, int min_size) {
-  return filter_trace(
-      trace, [min_size](const sim::Job& job) { return job.size >= min_size; });
 }
 
 TraceSummary summarize_trace(const sim::Trace& trace) {

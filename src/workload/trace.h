@@ -3,7 +3,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,18 +36,6 @@ struct SizeBucketStat {
 /// upper edges (seconds); a final open bucket catches the rest.
 [[nodiscard]] std::vector<std::size_t> runtime_histogram(
     const sim::Trace& trace, std::span<const double> edges);
-
-/// Keep only jobs satisfying `keep`; dependencies on removed jobs are
-/// dropped.  Used e.g. to filter debug jobs the way the paper prepares
-/// the Theta log ("we set the system size to 4,360 and filter out all
-/// debugging jobs", §IV-C).
-[[nodiscard]] sim::Trace filter_trace(
-    const sim::Trace& trace,
-    const std::function<bool(const sim::Job&)>& keep);
-
-/// Convenience: drop jobs smaller than `min_size` nodes.
-[[nodiscard]] sim::Trace filter_min_size(const sim::Trace& trace,
-                                         int min_size);
 
 struct TraceSummary {
   std::size_t jobs = 0;

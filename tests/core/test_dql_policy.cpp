@@ -282,7 +282,6 @@ TEST(DQLPolicy, SelectThenRecordBitIdenticalToSerialReference) {
 // one forward_batch per exploring successor, plus one per TD chunk.
 TEST(DQLPolicy, UpdateScoresOnlyWindowsItsSelectionDidNot) {
   obs::set_enabled(true);
-  if (!obs::enabled()) GTEST_SKIP() << "telemetry compiled out";
   DQLPolicy policy(half_epsilon_config(), 25);
   util::Rng rng(26);
   for (const std::size_t steps : {5u, 37u}) {

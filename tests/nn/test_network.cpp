@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/presets.h"
@@ -331,6 +334,81 @@ TEST(Network, StageBatchSampleRequiresRetainedBatch) {
   EXPECT_NO_THROW(net.stage_batch_sample(2));
   // Out-of-range sample index.
   EXPECT_THROW(net.stage_batch_sample(3), std::logic_error);
+
+  // A plain forward_batch between forward_batch_retained and
+  // stage_batch_sample leaves the retained batch alone: the staged
+  // sample's backward() gradients are bit-identical to those staged
+  // without it.
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    inputs[i] = 0.125f * static_cast<float>(i % 11) - 0.5f;
+  const std::vector<float> grad(cfg.outputs, 0.5f);
+  net.forward_batch_retained(inputs, 3, outputs);
+  net.zero_gradients();
+  net.stage_batch_sample(1);
+  net.backward(grad);
+  const std::vector<float> expected(net.gradients().begin(),
+                                    net.gradients().end());
+  net.forward_batch_retained(inputs, 3, outputs);
+  std::vector<float> other_in(5 * cfg.input_size(), -0.75f);
+  std::vector<float> other_out(5 * cfg.outputs);
+  net.forward_batch(other_in, 5, other_out);
+  net.zero_gradients();
+  net.stage_batch_sample(1);
+  net.backward(grad);
+  const std::span<const float> actual = net.gradients();
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_EQ(actual[i], expected[i]) << "gradient " << i;
+}
+
+// Serving workers share one read-only network: forward_batch is const
+// and keeps its activations per thread, so concurrent calls at mixed
+// batch sizes each get rows bit-identical to forward().
+TEST(Network, ForwardBatchOnASharedConstNetwork) {
+  NetworkConfig cfg;
+  cfg.input_rows = 21;
+  cfg.fc1 = 13;
+  cfg.fc2 = 9;
+  cfg.outputs = 3;
+  util::Rng rng(56);
+  Network net(cfg, rng);
+  constexpr std::size_t kMaxBatch = 17;
+  std::vector<float> inputs(kMaxBatch * cfg.input_size());
+  for (float& v : inputs) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  std::vector<float> expected(kMaxBatch * cfg.outputs);
+  for (std::size_t b = 0; b < kMaxBatch; ++b) {
+    const std::span<const float> row = net.forward(
+        std::span<const float>(inputs).subspan(b * cfg.input_size(),
+                                               cfg.input_size()));
+    std::copy(row.begin(), row.end(), expected.begin() + b * cfg.outputs);
+  }
+
+  const Network& shared = net;
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> ready{0};
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Start together, so the calls overlap.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      std::vector<float> outputs;
+      for (std::size_t round = 0; round < 100 * kMaxBatch; ++round) {
+        // Each thread walks the sizes from its own offset, so the
+        // threads run different batch sizes at the same time.
+        const std::size_t batch = 1 + (round + 5 * t) % kMaxBatch;
+        outputs.assign(batch * cfg.outputs, 0.0f);
+        shared.forward_batch(
+            std::span<const float>(inputs).first(batch * cfg.input_size()),
+            batch, outputs);
+        for (std::size_t i = 0; i < outputs.size(); ++i)
+          if (outputs[i] != expected[i]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace

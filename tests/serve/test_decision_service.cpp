@@ -242,7 +242,7 @@ TEST_F(DecisionServiceTest, EveryInstallReachesTheWorkerAfterAddressReuse) {
   for (int round = 0; round < 16; ++round) {
     auto first = ModelSnapshot::load(paths[0], config);
     service.install(first);
-    serve_and_check(*first);  // the worker now holds a replica of `first`
+    serve_and_check(*first);  // the worker now serves `first`
     service.install(ModelSnapshot::load(paths[1], config));
     first.reset();  // its address is free again
     const auto third = ModelSnapshot::load(paths[2], config);

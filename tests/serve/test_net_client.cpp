@@ -187,9 +187,63 @@ TEST_F(NetClientTest, PingReportsLiveness) {
   EXPECT_FALSE(client.breaker_open());  // pings never trip the breaker
 }
 
+// Degraded mode decides through the service's own validated head, so a
+// request the service rejects is rejected there too instead of being
+// decided from memory past the request.
+TEST_F(NetClientTest, DegradedModeRejectsWhatTheServiceRejects) {
+  const auto dql_config = tiny_serve_config(core::AgentKind::DQL);
+  core::DrasAgent dql_agent(dql_config);
+  const auto dql_snapshot = ModelSnapshot::load(
+      write_snapshot(dir_ / "dql", dql_agent, 2), dql_config);
+  DecisionService dql_service(ServiceOptions{});
+  dql_service.install(dql_snapshot);
+
+  // PG: more valid slots than the window holds.
+  DecisionRequest too_many_slots;
+  too_many_slots.valid = config_.window + 1;
+  too_many_slots.state.assign(
+      snapshot_->agent().network().config().input_size(), 0.5f);
+  // DQL: three candidates announced, one candidate's floats sent.
+  DecisionRequest short_state;
+  short_state.valid = 3;
+  short_state.state.assign(
+      dql_snapshot->agent().network().config().input_size(), 0.5f);
+  EXPECT_THROW((void)service_->submit(too_many_slots).get(),
+               std::invalid_argument);
+  EXPECT_THROW((void)dql_service.submit(short_state).get(),
+               std::invalid_argument);
+
+  // No server runs: every decide() below is answered by the fallback.
+  DecisionClient pg_client(fast_options());
+  pg_client.set_fallback(snapshot_);
+  DecisionClient dql_client(fast_options());
+  dql_client.set_fallback(dql_snapshot);
+  EXPECT_THROW((void)pg_client.decide(too_many_slots), RequestRejected);
+  EXPECT_THROW((void)dql_client.decide(short_state), RequestRejected);
+
+  // A well-formed request still gets the reference's decision, degraded.
+  util::Rng rng(57);
+  const auto pg_oracle = snapshot_->make_replica();
+  const auto dql_oracle = dql_snapshot->make_replica();
+  for (int i = 0; i < 8; ++i) {
+    const auto pg_request = make_synthetic_request(config_, rng);
+    const auto pg_decision = pg_client.decide(pg_request);
+    EXPECT_TRUE(pg_decision.degraded);
+    EXPECT_EQ(pg_decision.job_index,
+              reference_decision(*pg_oracle, pg_request));
+    const auto dql_request = make_synthetic_request(dql_config, rng);
+    const auto dql_decision = dql_client.decide(dql_request);
+    EXPECT_TRUE(dql_decision.degraded);
+    EXPECT_EQ(dql_decision.job_index,
+              reference_decision(*dql_oracle, dql_request));
+  }
+  EXPECT_EQ(pg_client.stats().served, 0u);
+  EXPECT_EQ(dql_client.stats().served, 0u);
+}
+
 TEST_F(NetClientTest, FallbackDecisionsMatchReferenceOracle) {
-  // Pure-degraded client (no server ever): the fallback path IS
-  // serve::reference_decision on the snapshot replica.
+  // Pure-degraded client (no server ever): the fallback's batched head
+  // must match serve::reference_decision on a replica, bit for bit.
   DecisionClient client(fast_options());
   client.set_fallback(snapshot_);
   auto oracle = snapshot_->make_replica();

@@ -288,57 +288,69 @@ int main(int argc, char** argv) {
     std::unique_ptr<dras::sim::Scheduler> owned;
     dras::core::DrasAgent* trained_agent = nullptr;
     dras::sched::DecimaPG* trained_decima = nullptr;
-    const auto train_episodes =
-        static_cast<std::size_t>(args.get_int("train-episodes", 10));
+    // Learning flags are read only for a policy that uses them: any other
+    // policy reads them from `none`, which holds no flag, so it sees the
+    // defaults and leaves the flags unread, and the unknown-option check
+    // rejects them before anything runs, with or without --run-dir.
+    // Decima-PG reads --train-episodes; the DRAS policies read them all.
+    const dras::util::Args none(1, argv);
+    const bool dras_policy =
+        policy_name == "dras-pg" || policy_name == "dras-dql";
+    const dras::util::Args& learning = dras_policy ? args : none;
+    const auto train_episodes = static_cast<std::size_t>(
+        (dras_policy || policy_name == "decima-pg" ? args : none)
+            .get_int("train-episodes", 10));
 
-    const std::string checkpoint_dir = args.get("checkpoint-dir", "");
+    const std::string checkpoint_dir = learning.get("checkpoint-dir", "");
     const auto checkpoint_every =
-        static_cast<std::size_t>(args.get_int("checkpoint-every", 1));
+        static_cast<std::size_t>(learning.get_int("checkpoint-every", 1));
     const auto checkpoint_keep =
-        static_cast<std::size_t>(args.get_int("checkpoint-keep", 3));
-    const bool resume = args.flag("resume");
-    const bool checkpoint_async = args.flag("checkpoint-async");
+        static_cast<std::size_t>(learning.get_int("checkpoint-keep", 3));
+    const bool resume = learning.flag("resume");
+    const bool checkpoint_async = learning.flag("checkpoint-async");
     // Outlives the manager created in train_agent; its destructor drains
     // the queue, so every issued snapshot is durable before exit.
     std::unique_ptr<dras::exec::AsyncWriter> checkpoint_writer;
     if (checkpoint_async && checkpoint_dir.empty())
       return usage("--checkpoint-async needs --checkpoint-dir");
-    const long long abort_after = args.get_int("abort-after", 0);
-    const std::string save_model = args.get("save-model", "");
+    const long long abort_after = learning.get_int("abort-after", 0);
+    const std::string save_model = learning.get("save-model", "");
     if (resume && checkpoint_dir.empty())
       return usage("--resume needs --checkpoint-dir");
 
     // Self-healing guardrails: any guard/drill flag implies --guard.
-    const bool guarded = args.flag("guard") || args.has("guard-loss") ||
-                         args.has("guard-grad-norm") ||
-                         args.has("guard-param-norm") ||
-                         args.flag("guard-adaptive") ||
-                         args.has("rollback-scope") ||
-                         args.has("max-rollbacks") ||
-                         args.has("lr-backoff") ||
-                         args.has("inject-numeric-fault");
+    const bool guarded = learning.flag("guard") ||
+                         learning.has("guard-loss") ||
+                         learning.has("guard-grad-norm") ||
+                         learning.has("guard-param-norm") ||
+                         learning.flag("guard-adaptive") ||
+                         learning.has("rollback-scope") ||
+                         learning.has("max-rollbacks") ||
+                         learning.has("lr-backoff") ||
+                         learning.has("inject-numeric-fault");
     if (guarded && checkpoint_dir.empty())
       return usage("--guard needs --checkpoint-dir (rollback targets)");
     dras::robust::HealthLimits health_limits;
-    if (args.has("guard-loss"))
-      health_limits.max_loss = args.get_double("guard-loss", 0.0);
-    if (args.has("guard-grad-norm"))
-      health_limits.max_grad_norm = args.get_double("guard-grad-norm", 0.0);
-    if (args.has("guard-param-norm"))
+    if (learning.has("guard-loss"))
+      health_limits.max_loss = learning.get_double("guard-loss", 0.0);
+    if (learning.has("guard-grad-norm"))
+      health_limits.max_grad_norm =
+          learning.get_double("guard-grad-norm", 0.0);
+    if (learning.has("guard-param-norm"))
       health_limits.max_param_norm =
-          args.get_double("guard-param-norm", 0.0);
-    health_limits.adaptive = args.flag("guard-adaptive");
+          learning.get_double("guard-param-norm", 0.0);
+    health_limits.adaptive = learning.flag("guard-adaptive");
     const auto rollback_scope = dras::robust::parse_rollback_scope(
-        args.get("rollback-scope", "full"));
+        learning.get("rollback-scope", "full"));
     const auto max_rollbacks =
-        static_cast<std::size_t>(args.get_int("max-rollbacks", 3));
-    const double lr_backoff = args.get_double("lr-backoff", 0.5);
+        static_cast<std::size_t>(learning.get_int("max-rollbacks", 3));
+    const double lr_backoff = learning.get_double("lr-backoff", 0.5);
     const auto lr_recover_after =
-        static_cast<std::size_t>(args.get_int("lr-recover-after", 0));
-    const std::string diagnostics_out = args.get("diagnostics-out", "");
+        static_cast<std::size_t>(learning.get_int("lr-recover-after", 0));
+    const std::string diagnostics_out = learning.get("diagnostics-out", "");
     std::optional<dras::ckpt::NumericFault> inject_fault;
-    if (args.has("inject-numeric-fault")) {
-      const std::string fault_name = args.get("inject-numeric-fault", "");
+    if (learning.has("inject-numeric-fault")) {
+      const std::string fault_name = learning.get("inject-numeric-fault", "");
       inject_fault = dras::ckpt::parse_numeric_fault(fault_name);
       if (!inject_fault)
         return usage(format(
@@ -347,7 +359,7 @@ int main(int argc, char** argv) {
             fault_name));
     }
     const auto inject_at =
-        static_cast<std::size_t>(args.get_int("inject-at", 1));
+        static_cast<std::size_t>(learning.get_int("inject-at", 1));
 
     // Fingerprint the *result-relevant* configuration: everything that
     // changes the trained parameters or the evaluated workload.  Worker
@@ -363,7 +375,7 @@ int main(int argc, char** argv) {
           "depth={};train_episodes={};rollout_batch={}",
           policy_name, args.get("model", "theta-mini"), args.get("swf", ""),
           nodes, trace.size(), seed, args.get_double("load", 1.0), depth,
-          train_episodes, args.get_int("rollout-batch", 0));
+          train_episodes, learning.get_int("rollout-batch", 0));
       if (faults_enabled) {
         // Appended only when fault injection is on, so fault-free runs
         // keep their historical fingerprints and stay comparable across
@@ -375,10 +387,10 @@ int main(int argc, char** argv) {
             dras::sim::to_string(fault_config.requeue),
             fault_config.ckpt_interval, fault_config.ckpt_seconds_per_node,
             fault_config.io_bandwidth,
-            args.flag("failure-features") ? 1 : 0);
+            learning.flag("failure-features") ? 1 : 0);
       }
-      if (args.has("users") || args.flag("fairness-features") ||
-          args.get_double("fairness-weight", 0.0) != 0.0) {
+      if (args.has("users") || learning.flag("fairness-features") ||
+          learning.get_double("fairness-weight", 0.0) != 0.0) {
         // Same discipline as the fault block: appended only when the
         // multi-tenant machinery is on, so anonymous runs keep their
         // historical fingerprints.
@@ -387,8 +399,8 @@ int main(int argc, char** argv) {
             "fairness_features={}",
             setup.model.user_count, setup.model.user_zipf_exponent,
             setup.model.project_count,
-            args.get_double("fairness-weight", 0.0),
-            args.flag("fairness-features") ? 1 : 0);
+            learning.get_double("fairness-weight", 0.0),
+            learning.flag("fairness-features") ? 1 : 0);
       }
     }
     // Telemetry: the session's tracer becomes the process default so
@@ -621,11 +633,8 @@ int main(int argc, char** argv) {
       return code;
     }
 
-    if (!save_model.empty()) {
-      if (trained_agent == nullptr)
-        return usage("--save-model needs a dras-pg or dras-dql policy");
+    if (!save_model.empty())
       dras::nn::save_network_file(save_model, trained_agent->network());
-    }
 
     // Run through the parallel evaluator: one (trace, policy) cell on
     // the serial path, which still records the eval.cell span and the
